@@ -92,15 +92,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace",
         action="store_true",
-        help="print the cooperative loop's event trace to stderr "
-        "(dryadsynth solvers only)",
-    )
-    parser.add_argument(
-        "--trace-json",
-        metavar="PATH",
-        default=None,
-        help="write the event trace as JSON to PATH "
-        "(dryadsynth solvers only)",
+        help="print the run's explain report (subproblem tree, rule "
+        "table; see `dryadsynth explain`) to stderr",
     )
     parser.add_argument(
         "--smt-corpus",
@@ -259,18 +252,12 @@ def _single_main(args) -> int:
     if isinstance(problem, MultiSygusProblem):
         return _run_multi(problem, args)
     solver = make_solver(args.solver, args.timeout)
-    trace = None
-    if (args.trace or args.trace_json) and hasattr(solver, "trace"):
-        from repro.synth.trace import SynthesisTrace
-
-        trace = SynthesisTrace()
-        solver.trace = trace
     import os
 
     problem_name = os.path.splitext(os.path.basename(args.file))[0]
     start = time.monotonic()
     with _smt_capturing(args, problem_name):
-        if _wants_recording(args):
+        if _wants_recording(args) or args.trace:
             from repro import obs
 
             with obs.recording() as recorder:
@@ -279,14 +266,15 @@ def _single_main(args) -> int:
         else:
             outcome = solver.synthesize(problem)
     elapsed = time.monotonic() - start
-    if trace is not None and args.trace:
-        print(trace.render(), file=sys.stderr)
-    if trace is not None and args.trace_json:
-        try:
-            with open(args.trace_json, "w") as handle:
-                json.dump(trace.to_json(), handle, indent=1)
-        except OSError as exc:
-            print(f"warning: cannot write trace: {exc}", file=sys.stderr)
+    if args.trace:
+        from repro.obs.explain import explain_text
+
+        print(
+            explain_text(
+                recorder.spans, recorder.events, truncated=recorder.truncated
+            ),
+            file=sys.stderr,
+        )
     if args.stats:
         print(
             f"; solver={args.solver} time={elapsed:.3f}s "

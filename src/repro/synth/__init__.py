@@ -2,7 +2,7 @@
 
 Submodules:
 
-- :mod:`repro.synth.cegis` — the CEGIS loop (Section 2.2).
+- :mod:`repro.synth.cegis` — the one CEGIS loop (Section 2.2).
 - :mod:`repro.synth.decision_tree` — decision-tree normal form (Figure 5).
 - :mod:`repro.synth.encoding` — symbolic fixed-height encodings (Section 5.2).
 - :mod:`repro.synth.fixed_height` — Algorithm 2 and height enumeration.
@@ -11,7 +11,8 @@ Submodules:
 - :mod:`repro.synth.divide` — divide-and-conquer strategies (Figure 4).
 - :mod:`repro.synth.graph` — the subproblem graph (Section 3.2).
 - :mod:`repro.synth.cooperative` — Algorithm 1, the cooperative loop.
-- :mod:`repro.synth.parallel` — parallel height search (Section 5.1).
+- :mod:`repro.synth.portfolio` — solver portfolios; the Section 5.1 height
+  race is a :class:`ProcessPortfolio` over ``fixed-height@1..H``.
 """
 
 from repro.synth.config import SynthConfig
@@ -20,9 +21,8 @@ from repro.synth.fixed_height import (
     FixedHeightSession,
     HeightEnumerationSynthesizer,
 )
-from repro.synth.parallel import ParallelHeightSynthesizer
+from repro.synth.portfolio import ProcessPortfolio
 from repro.synth.result import SynthesisOutcome, SynthesisStats
-from repro.synth.trace import SynthesisTrace
 
 __all__ = [
     "SynthConfig",
@@ -30,8 +30,7 @@ __all__ = [
     "solve",
     "FixedHeightSession",
     "HeightEnumerationSynthesizer",
-    "ParallelHeightSynthesizer",
+    "ProcessPortfolio",
     "SynthesisOutcome",
     "SynthesisStats",
-    "SynthesisTrace",
 ]

@@ -1,9 +1,12 @@
 """The counterexample-guided inductive synthesis loop (Section 2.2).
 
-:func:`cegis` is the generic loop shared by the fixed-height engine and by
-the baselines: a *synthesizer callback* proposes candidates consistent with
-the accumulated counterexamples; the verifier (condition 2.4, discharged by
-the SMT substrate) either accepts or produces a new counterexample.
+:class:`CegisLoop` is the repository's one verify → screen →
+add-counterexample → inductive-step loop.  The fixed-height engine
+(Algorithm 2) subclasses it with its symbolic inductive step and resumes it
+after preemption; the baselines run it through :func:`cegis` with a
+*synthesizer callback* that proposes candidates consistent with the
+accumulated counterexamples.  The verifier (condition 2.4, discharged by the
+SMT substrate) either accepts a candidate or produces a new counterexample.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from repro.lang.evaluator import EvaluationError, Value
 from repro.smt.solver import SolverBudgetExceeded
 from repro.sygus.problem import SygusProblem
 from repro.synth.examples import ExampleSet
+from repro.synth.result import SynthesisStats
 
 Example = Dict[str, Value]
 
@@ -29,6 +33,136 @@ class CegisTimeout(Exception):
     """The CEGIS loop hit its wall-clock deadline."""
 
 
+class CegisLoop:
+    """A resumable CEGIS run over one problem.
+
+    The loop's state lives on the object — the current candidate, whether
+    it came from the inductive step, the number of started rounds and
+    exhaustion — so a run preempted by its deadline (:class:`CegisTimeout`)
+    continues where it stopped on the next :meth:`run`.  Exhaustion is
+    sticky.  Each started round adds one to ``stats.cegis_iterations``.
+    ``attrs`` (e.g. ``{"height": 2}``) label the loop's spans and forensics
+    events.
+
+    The inductive step is the ``ind_synth`` callback, or an override of
+    :meth:`ind_synth` in a subclass.
+    """
+
+    def __init__(
+        self,
+        problem: SygusProblem,
+        ind_synth: Optional[InductiveSynthesizer] = None,
+        candidate: Optional[Term] = None,
+        max_rounds: int = 40,
+        stats: Optional[SynthesisStats] = None,
+        attrs: Optional[Dict[str, object]] = None,
+    ) -> None:
+        self.problem = problem
+        self._ind_synth = ind_synth
+        self.candidate = candidate
+        self.from_ind_synth = False
+        self.max_rounds = max_rounds
+        self.stats = stats if stats is not None else SynthesisStats()
+        self.attrs = dict(attrs or {})
+        self.rounds = 0
+        self.exhausted = False
+
+    def ind_synth(
+        self, examples: List[Example], deadline: Optional[float]
+    ) -> Optional[Term]:
+        """A candidate consistent with ``examples``, or None if none exists."""
+        assert self._ind_synth is not None
+        return self._ind_synth(examples)
+
+    def run(
+        self, examples: List[Example], deadline: Optional[float] = None
+    ) -> Optional[Term]:
+        """Continue the loop; returns a verified candidate, or None once
+        exhausted.
+
+        ``examples`` is mutated in place, so callers can share
+        counterexamples across runs.
+
+        Raises:
+            CegisTimeout: when the deadline expires mid-loop.
+        """
+        if self.exhausted:
+            return None
+        with obs.span(
+            "cegis", problem=self.problem.name, **self.attrs
+        ) as loop_span:
+            result = self._loop(ExampleSet.wrap(examples), deadline)
+            loop_span.set(rounds=self.rounds, exhausted=self.exhausted,
+                          solved=result is not None)
+            return result
+
+    def _loop(
+        self, examples: ExampleSet, deadline: Optional[float]
+    ) -> Optional[Term]:
+        problem, attrs = self.problem, self.attrs
+        if self.candidate is None and not self._induce(examples, deadline):
+            return None
+        while self.rounds < self.max_rounds:
+            check_deadline(deadline)
+            self.rounds += 1
+            self.stats.cegis_iterations += 1
+            forensics.emit(
+                forensics.CEGIS_ITER,
+                iteration=self.rounds,
+                **attrs,
+                examples=len(examples),
+            )
+            # Compiled screening: a candidate refuted by a *known* example
+            # (after preemption, a height bump or a shared example pool)
+            # never needs the SMT validity check — reuse that example.
+            counterexample = _screen(problem, self.candidate, examples)
+            if counterexample is None:
+                try:
+                    with obs.span("verify", problem=problem.name, **attrs):
+                        ok, counterexample = problem.verify(
+                            self.candidate, deadline
+                        )
+                except SolverBudgetExceeded as exc:
+                    # The round did not finish: resuming starts it again.
+                    self.rounds -= 1
+                    raise CegisTimeout(str(exc)) from exc
+                if ok:
+                    return self.candidate
+            assert counterexample is not None
+            if examples.add(counterexample):
+                forensics.emit(
+                    forensics.CEGIS_CEX,
+                    iteration=self.rounds,
+                    **attrs,
+                    cex=forensics.render_example(counterexample),
+                )
+            elif self.from_ind_synth:
+                # ind_synth claimed consistency with this example yet the
+                # verifier refutes the candidate on it: no progress is
+                # possible (the candidate space is exhausted).
+                self.exhausted = True
+                return None
+            if not self._induce(examples, deadline):
+                return None
+        self.exhausted = True
+        return None
+
+    def _induce(self, examples: ExampleSet, deadline: Optional[float]) -> bool:
+        """Run the inductive step; False (and exhausted) when it finds none."""
+        try:
+            with obs.span("ind_synth", problem=self.problem.name,
+                          **self.attrs, examples=len(examples)):
+                candidate = self.ind_synth(examples, deadline)
+        except SolverBudgetExceeded as exc:
+            raise CegisTimeout(str(exc)) from exc
+        if candidate is None:
+            self.exhausted = True
+            return False
+        self.candidate = candidate
+        self.from_ind_synth = True
+        return True
+
+
 def cegis(
     problem: SygusProblem,
     ind_synth: InductiveSynthesizer,
@@ -37,68 +171,21 @@ def cegis(
     max_rounds: int = 40,
     deadline: Optional[float] = None,
 ) -> Tuple[Optional[Term], List[Example], int]:
-    """Run CEGIS; returns ``(solution or None, examples, iterations)``.
+    """Run CEGIS to completion; returns ``(solution or None, examples,
+    iterations)``.
 
-    ``examples`` is mutated in place when provided, so callers (e.g. parallel
-    height search, Section 5.1) can share counterexamples across runs.
+    ``examples`` is mutated in place when provided.
 
     Raises:
         CegisTimeout: when the deadline expires mid-loop.
     """
     examples = ExampleSet.wrap(examples)
-    candidate = initial_candidate
-    from_ind_synth = False
-    if candidate is None:
-        candidate = ind_synth(examples)
-        from_ind_synth = True
-        if candidate is None:
-            return None, examples, 0
-    iterations = 0
-    for _ in range(max_rounds):
-        iterations += 1
-        forensics.emit(
-            forensics.CEGIS_ITER,
-            iteration=iterations,
-            examples=len(examples),
-        )
-        _check_deadline(deadline)
-        # Compiled screening: a candidate refuted by a *known* example never
-        # needs the SMT validity check — reuse that example directly.
-        counterexample = _screen(problem, candidate, examples)
-        if counterexample is None:
-            try:
-                with obs.span("verify", problem=problem.name):
-                    ok, counterexample = problem.verify(candidate, deadline)
-            except SolverBudgetExceeded as exc:
-                raise CegisTimeout(str(exc)) from exc
-            if ok:
-                return candidate, examples, iterations
-        assert counterexample is not None
-        if examples.add(counterexample):
-            forensics.emit(
-                forensics.CEGIS_CEX,
-                iteration=iterations,
-                cex=forensics.render_example(counterexample),
-            )
-        elif from_ind_synth:
-            # ind_synth claimed consistency with this example yet the
-            # verifier refutes the candidate on it: no progress is possible
-            # (this indicates the candidate space is exhausted).
-            return None, examples, iterations
-        _check_deadline(deadline)
-        try:
-            with obs.span("ind_synth", problem=problem.name,
-                          examples=len(examples)):
-                candidate = ind_synth(examples)
-        except SolverBudgetExceeded as exc:
-            raise CegisTimeout(str(exc)) from exc
-        from_ind_synth = True
-        if candidate is None:
-            return None, examples, iterations
-    return None, examples, iterations
+    loop = CegisLoop(problem, ind_synth, initial_candidate, max_rounds)
+    return loop.run(examples, deadline), examples, loop.rounds
 
 
-def _check_deadline(deadline: Optional[float]) -> None:
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise :class:`CegisTimeout` once the wall clock passes ``deadline``."""
     if deadline is not None and time.monotonic() > deadline:
         raise CegisTimeout("CEGIS deadline exceeded")
 

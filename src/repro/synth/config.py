@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -39,9 +39,6 @@ class SynthConfig:
 
     #: Maximum number of Type-A subproblems generated per divide step.
     max_subproblems: int = 6
-
-    #: Simulated parallelism width for height enumeration (Section 5.1).
-    parallel_widths: int = 1
 
     #: Enable the divide-and-conquer splitter.
     enable_divide: bool = True

@@ -77,21 +77,15 @@ class CooperativeSynthesizer:
         config: Optional[SynthConfig] = None,
         enum_engine: Optional[EnumEngine] = None,
         name: str = "dryadsynth",
-        trace: Optional["SynthesisTrace"] = None,
     ) -> None:
         import inspect
 
         self.config = config or SynthConfig()
         self.enum_engine = enum_engine or _default_enum_engine
         self.name = name
-        self.trace = trace
         self._engine_takes_sessions = (
             "session_store" in inspect.signature(self.enum_engine).parameters
         )
-
-    def _record(self, kind: str, problem_name: str, detail: str = "", height=None):
-        if self.trace is not None:
-            self.trace.record(kind, problem_name, detail, height)
 
     # -- Main loop (Algorithm 1) -------------------------------------------------
 
@@ -138,7 +132,6 @@ class CooperativeSynthesizer:
                     if node.solved:
                         continue
                     logger.debug("deduct: %s", node.problem.name)
-                    self._record("deduct", node.problem.name)
                     with obs.span(
                         "deduct", problem=node.problem.name, node=node.node_id
                     ):
@@ -174,7 +167,6 @@ class CooperativeSynthesizer:
                         step_outcome,
                         time.monotonic() - step_start,
                     )
-                    self._record("enum", node.problem.name, step_outcome, height)
                     if body is not None:
                         self._mark_solved(node, body, graph, ded_queue, stats, deadline)
                     elif not exhausted:
@@ -188,15 +180,6 @@ class CooperativeSynthesizer:
                     break
         except (CegisTimeout, SolverBudgetExceeded):
             timed_out = True
-        self._record(
-            "smt",
-            problem.name,
-            detail=(
-                f"rounds={stats.smt_rounds} lemmas={stats.theory_lemmas} "
-                f"core_skips={stats.assumption_core_skips} "
-                f"deleted={stats.learnt_clauses_deleted}"
-            ),
-        )
         if graph.source.solved:
             body = graph.source.solution
             if config.minimize_solutions:
@@ -251,11 +234,6 @@ class CooperativeSynthesizer:
             for split in propose_splits(node.problem, config):
                 child, created = graph.add_subproblem(node, split)
                 stats.subproblems_created += int(created)
-                self._record(
-                    "split",
-                    node.problem.name,
-                    f"{split.strategy}:{split.subproblem.name}",
-                )
                 forensics.emit(
                     forensics.DIVIDE_CHOICE,
                     node=node.node_id,
@@ -336,7 +314,6 @@ class CooperativeSynthesizer:
         # produced it (pluggable engines may only be example-consistent).
         if not verified and not self._accept(node, body, deadline):
             logger.debug("rejected unverified candidate for %s", node.problem.name)
-            self._record("reject", node.problem.name)
             forensics.emit(
                 forensics.DIVIDE_REJECT,
                 node=node.node_id,
@@ -353,7 +330,6 @@ class CooperativeSynthesizer:
         if node.sessions:
             note_freed(node, len(node.sessions))
         node.sessions.clear()
-        self._record("solved", node.problem.name, detail="direct")
         self._propagate(node, graph, ded_queue, stats, deadline)
 
     def _propagate(

@@ -15,16 +15,14 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.obs import forensics
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import and_, bool_var, implies, int_const
-from repro.lang.evaluator import EvaluationError, Value, evaluate
+from repro.lang.evaluator import EvaluationError, evaluate
 from repro.lang.traversal import rewrite_bottom_up
 from repro.smt.solver import SmtSolver, SolverBudgetExceeded, Status
 from repro.sygus.problem import Solution, SygusProblem
-from repro.synth.cegis import CegisTimeout, Example, cegis
+from repro.synth.cegis import CegisLoop, CegisTimeout, Example, check_deadline
 from repro.synth.config import SynthConfig
-from repro.synth.examples import ExampleSet
 from repro.synth.encoding import (
     CliaTreeEncoder,
     EncodingUnsupported,
@@ -122,19 +120,20 @@ def _seeded_bounds(problem: SygusProblem, schedule) -> tuple:
     return schedule[-1:]
 
 
-class FixedHeightSession:
+class FixedHeightSession(CegisLoop):
     """A resumable Algorithm-2 run at one (problem, height).
 
-    The session owns the symbolic encoder and **one** incremental SMT solver;
-    constant-bound widening is done by solving under an assumption literal
-    that activates the current bound's range constraints, so clause learning,
-    atom canonicalisation and theory lemmas are shared across every bound and
-    every CEGIS iteration.  Each iteration only asserts the newest
-    counterexample, and solver state also persists across *preempted time
-    slices* (the cooperative loop parks a session when its slice expires and
-    resumes it later).  When a query is unsat without the bound guard in the
-    unsat assumption core, no wider bound can help and the widening loop
-    stops early.
+    The session is the shared :class:`~repro.synth.cegis.CegisLoop` with a
+    symbolic inductive step.  It owns the symbolic encoder and **one**
+    incremental SMT solver; constant-bound widening is done by solving under
+    an assumption literal that activates the current bound's range
+    constraints, so clause learning, atom canonicalisation and theory lemmas
+    are shared across every bound and every CEGIS iteration.  Each iteration
+    only asserts the newest counterexample, and solver state also persists
+    across *preempted time slices* (the cooperative loop parks a session
+    when its slice expires and resumes it later).  When a query is unsat
+    without the bound guard in the unsat assumption core, no wider bound can
+    help and the widening loop stops early.
     """
 
     def __init__(
@@ -145,10 +144,8 @@ class FixedHeightSession:
         stats: Optional[SynthesisStats] = None,
         prefix: Optional[str] = None,
     ) -> None:
-        self.problem = problem
         self.height = height
         self.config = config
-        self.stats = stats if stats is not None else SynthesisStats()
         self.prefix = prefix or f"fh{height}"
         self.encoder = make_encoder(problem, height, self.prefix)
         if getattr(self.encoder, "has_const_unknowns", True):
@@ -163,102 +160,18 @@ class FixedHeightSession:
         self._first_viable = 0
         self._lemmas_seen = 0
         self._deleted_seen = 0
-        self.candidate: Optional[Term] = self.encoder.initial_candidate()
-        self._candidate_from_ind = False
-        self.rounds = 0
-        self.exhausted = False
+        super().__init__(
+            problem,
+            candidate=self.encoder.initial_candidate(),
+            max_rounds=config.max_cegis_rounds,
+            stats=stats,
+            attrs={"height": height},
+        )
 
     @property
     def solver(self) -> Optional[SmtSolver]:
         """The session's single incremental solver (None until first query)."""
         return self._solver
-
-    def run(
-        self, examples: List[Example], deadline: Optional[float] = None
-    ) -> Optional[Term]:
-        """Continue the CEGIS loop; returns a solution or None.
-
-        ``None`` with :attr:`exhausted` unset means the deadline preempted
-        the session (resume later); with :attr:`exhausted` set there is no
-        solution at this height (within the coefficient bounds).
-
-        Raises:
-            CegisTimeout: when the deadline expires mid-step.
-        """
-        if self.exhausted:
-            return None
-        with obs.span(
-            "cegis", problem=self.problem.name, height=self.height
-        ) as session_span:
-            result = self._run_loop(examples, deadline)
-            session_span.set(rounds=self.rounds, exhausted=self.exhausted,
-                             solved=result is not None)
-            return result
-
-    def _run_loop(
-        self, examples: List[Example], deadline: Optional[float]
-    ) -> Optional[Term]:
-        problem, stats = self.problem, self.stats
-        examples = ExampleSet.wrap(examples)
-        while self.rounds < self.config.max_cegis_rounds:
-            self._check_deadline(deadline)
-            self.rounds += 1
-            stats.cegis_iterations += 1
-            forensics.emit(
-                forensics.CEGIS_ITER,
-                iteration=self.rounds,
-                height=self.height,
-                examples=len(examples),
-            )
-            # Compiled screening: after preemption or a height bump the
-            # shared example pool may already refute this candidate — catch
-            # that with compiled evaluation instead of an SMT validity check.
-            counterexample = self._screen(examples)
-            if counterexample is None:
-                try:
-                    with obs.span("verify", problem=problem.name,
-                                  height=self.height):
-                        ok, counterexample = problem.verify(
-                            self.candidate, deadline
-                        )
-                except SolverBudgetExceeded as exc:
-                    self.rounds -= 1
-                    raise CegisTimeout(str(exc)) from exc
-                if ok:
-                    return self.candidate
-            assert counterexample is not None
-            if examples.add(counterexample):
-                forensics.emit(
-                    forensics.CEGIS_CEX,
-                    iteration=self.rounds,
-                    height=self.height,
-                    cex=forensics.render_example(counterexample),
-                )
-            elif self._candidate_from_ind:
-                # ind-synth claimed consistency yet verification refutes on a
-                # known example: the candidate space is exhausted.
-                self.exhausted = True
-                return None
-            candidate = self._ind_synth(examples, deadline)
-            if candidate is None:
-                self.exhausted = True
-                return None
-            self.candidate = candidate
-            self._candidate_from_ind = True
-        self.exhausted = True
-        return None
-
-    def _check_deadline(self, deadline: Optional[float]) -> None:
-        if deadline is not None and time.monotonic() > deadline:
-            raise CegisTimeout("fixed-height deadline exceeded")
-
-    def _screen(self, examples: ExampleSet) -> Optional[Example]:
-        """A known example refuting the current candidate, or None."""
-        try:
-            violation = self.problem.first_violation(self.candidate, examples)
-        except EvaluationError:
-            return None
-        return dict(violation) if violation is not None else None
 
     def _bound_guard(self, solver: SmtSolver, const_bound: int) -> Term:
         """The assumption literal activating ``const_bound``'s constraints.
@@ -281,22 +194,10 @@ class FixedHeightSession:
             self._bound_guards[const_bound] = guard
         return guard
 
-    def _ind_synth(
+    def ind_synth(
         self, examples: List[Example], deadline: Optional[float]
     ) -> Optional[Term]:
-        if not examples:
-            return self.encoder.initial_candidate()
-        with obs.span(
-            "ind_synth",
-            problem=self.problem.name,
-            height=self.height,
-            examples=len(examples),
-        ):
-            return self._ind_synth_query(examples, deadline)
-
-    def _ind_synth_query(
-        self, examples: List[Example], deadline: Optional[float]
-    ) -> Optional[Term]:
+        """The symbolic inductive step: one guarded SMT query per bound."""
         solver = self._solver
         if solver is None:
             solver = self._solver = SmtSolver(
@@ -311,7 +212,7 @@ class FixedHeightSession:
         try:
             for index in range(self._first_viable, len(self.bounds)):
                 const_bound = self.bounds[index]
-                self._check_deadline(deadline)
+                check_deadline(deadline)
                 guard = self._bound_guard(solver, const_bound)
                 stats.smt_checks += 1
                 with obs.span(
@@ -336,8 +237,6 @@ class FixedHeightSession:
                 # every future (superset) example set too.
                 self._first_viable = index + 1
             return None
-        except SolverBudgetExceeded as exc:
-            raise CegisTimeout(str(exc)) from exc
         finally:
             stats.smt_rounds += solver.stats.rounds - rounds_before
             stats.theory_lemmas += solver.stats.lemmas - self._lemmas_seen

@@ -13,6 +13,7 @@ Strategy (following the paper's remark that the framework extends naturally):
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.lang.ast import Kind, Term
@@ -72,12 +73,7 @@ class MultiFunctionSynthesizer:
             remaining = None
             if deadline is not None:
                 remaining = max(deadline - time.monotonic(), 0.5)
-            config = SynthConfig(
-                timeout=remaining,
-                max_height=self.config.max_height,
-                coeff_bound=self.config.coeff_bound,
-                const_bounds=self.config.const_bounds,
-            )
+            config = replace(self.config, timeout=remaining)
             outcome = CooperativeSynthesizer(config).synthesize(projection)
             stats.merge(outcome.stats)
             if outcome.solution is None:

@@ -17,6 +17,7 @@ ceiling a portfolio could reach.  This module provides both:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sygus.problem import SygusProblem
@@ -80,14 +81,7 @@ class SequentialPortfolio:
                     share = min(share, remaining)
             else:
                 share = None
-            member_config = SynthConfig(
-                timeout=share,
-                max_height=self.config.max_height,
-                coeff_bound=self.config.coeff_bound,
-                const_bounds=self.config.const_bounds,
-                minimize_solutions=self.config.minimize_solutions,
-            )
-            solver = factory(member_config)
+            solver = factory(replace(self.config, timeout=share))
             outcome = solver.synthesize(problem)
             stats.merge(outcome.stats)
             if outcome.solution is not None:

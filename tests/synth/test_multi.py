@@ -91,6 +91,34 @@ class TestMultiSynthesis:
         assert evaluate(solution.bodies["g"], {"x": 3, "y": 4}) == -1
         assert len(solution.define_funs()) == 2
 
+    def test_projections_keep_the_callers_config(self, monkeypatch):
+        # Regression: each projection's solver used to get a SynthConfig
+        # rebuilt field by field, resetting every knob not copied back.
+        from repro.synth import multi
+
+        seen = []
+        cooperative = multi.CooperativeSynthesizer
+
+        def recording(config):
+            seen.append(config)
+            return cooperative(config)
+
+        monkeypatch.setattr(multi, "CooperativeSynthesizer", recording)
+        f, g = _funs()
+        spec = and_(
+            eq(f.apply((x, y)), add(x, y)),
+            eq(g.apply((x, y)), sub(x, y)),
+        )
+        problem = MultiSygusProblem((f, g), spec, (x, y), name="pair")
+        config = SynthConfig(timeout=60, enable_divide=False,
+                             lia_node_budget=123)
+        solution, _ = MultiFunctionSynthesizer(config).synthesize(problem)
+        assert solution is not None
+        assert len(seen) == 2
+        for projection_config in seen:
+            assert projection_config.enable_divide is False
+            assert projection_config.lia_node_budget == 123
+
     def test_coupled_functions_solved_jointly(self):
         f, g = _funs()
         fx, gx = f.apply((x, y)), g.apply((x, y))

@@ -1,11 +1,15 @@
-"""Tests for the parallel height search (Section 5.1)."""
+"""Tests for the parallel height search (Section 5.1).
+
+The height race is a :class:`ProcessPortfolio` over one ``fixed-height@H``
+member per height, raced in worker processes.
+"""
 
 from repro.lang import and_, eq, ge, int_var, or_
 from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.problem import SygusProblem, SynthFun
 from repro.synth.config import SynthConfig
-from repro.synth.parallel import ParallelHeightSynthesizer
+from repro.synth.portfolio import ProcessPortfolio
 
 x, y = int_var("x"), int_var("y")
 
@@ -17,84 +21,55 @@ def _max2_problem():
     return SygusProblem(fun, spec, (x, y), name="max2")
 
 
+def _max4_problem():
+    params = tuple(int_var(f"v{i}") for i in range(4))
+    fun = SynthFun("f", params, INT, clia_grammar(params))
+    fx = fun.apply(params)
+    spec = and_(*(ge(fx, p) for p in params), or_(*(eq(fx, p) for p in params)))
+    return SygusProblem(fun, spec, params, name="max4")
+
+
+def _height_race(config, workers):
+    """One fixed-height job per height 1..max_height."""
+    members = [f"fixed-height@{h}" for h in range(1, config.max_height + 1)]
+    return ProcessPortfolio(members, config, workers=workers)
+
+
 class TestParallelHeights:
     def test_solves_max2_with_two_workers(self):
         problem = _max2_problem()
-        synthesizer = ParallelHeightSynthesizer(SynthConfig(timeout=60), width=2)
-        outcome = synthesizer.synthesize(problem)
+        outcome = _height_race(SynthConfig(timeout=60), 2).synthesize(problem)
         assert outcome.solved
+        assert outcome.solution.engine.startswith("portfolio-mp:fixed-height@")
         ok, _ = problem.verify(outcome.solution.body)
         assert ok
 
     def test_single_worker_degenerates_to_sequential(self):
-        problem = _max2_problem()
-        synthesizer = ParallelHeightSynthesizer(SynthConfig(timeout=60), width=1)
-        outcome = synthesizer.synthesize(problem)
+        outcome = _height_race(SynthConfig(timeout=60), 1).synthesize(
+            _max2_problem()
+        )
         assert outcome.solved
 
     def test_unsolvable_within_height_cap(self):
-        params = tuple(int_var(f"v{i}") for i in range(4))
-        fun = SynthFun("f", params, INT, clia_grammar(params))
-        fx = fun.apply(params)
-        spec = and_(
-            *(ge(fx, p) for p in params), or_(*(eq(fx, p) for p in params))
-        )
-        problem = SygusProblem(fun, spec, params, name="max4")
-        synthesizer = ParallelHeightSynthesizer(
-            SynthConfig(timeout=30, max_height=2), width=2
-        )
-        outcome = synthesizer.synthesize(problem)
+        config = SynthConfig(timeout=30, max_height=2)
+        outcome = _height_race(config, 2).synthesize(_max4_problem())
         assert not outcome.solved
-
-    def test_counterexamples_are_shared(self):
-        problem = _max2_problem()
-        synthesizer = ParallelHeightSynthesizer(SynthConfig(timeout=60), width=3)
-        outcome = synthesizer.synthesize(problem)
-        assert outcome.solved
-        # Workers at heights 1..3 all ran; the one that won reused shared
-        # counterexamples, so the total iteration count stays bounded.
-        assert outcome.stats.heights_tried >= 2
-
-    def test_stats_are_aggregated_from_all_workers(self):
-        # Regression test for the shared-stats data race: each worker now
-        # owns a private stats object merged at the end, so counters must
-        # still reflect every worker's activity.
-        problem = _max2_problem()
-        synthesizer = ParallelHeightSynthesizer(SynthConfig(timeout=60), width=3)
-        outcome = synthesizer.synthesize(problem)
-        assert outcome.stats.heights_tried >= 2
-        assert outcome.stats.max_height_reached >= 2
-        assert outcome.stats.smt_checks + outcome.stats.cegis_iterations > 0
-
-    def test_rejects_unknown_backend(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            ParallelHeightSynthesizer(backend="fiber")
 
 
 class TestProcessBackend:
     def test_solves_max2_across_processes(self):
+        # One worker process per height: every height runs concurrently.
+        config = SynthConfig(timeout=60, max_height=3)
         problem = _max2_problem()
-        synthesizer = ParallelHeightSynthesizer(
-            SynthConfig(timeout=60), width=2, backend="process"
-        )
-        outcome = synthesizer.synthesize(problem)
+        outcome = _height_race(config, 3).synthesize(problem)
         assert outcome.solved
         ok, _ = problem.verify(outcome.solution.body)
         assert ok
         assert outcome.stats.heights_tried >= 1
 
     def test_unsolvable_within_height_cap(self):
-        params = tuple(int_var(f"v{i}") for i in range(4))
-        fun = SynthFun("f", params, INT, clia_grammar(params))
-        fx = fun.apply(params)
-        spec = and_(
-            *(ge(fx, p) for p in params), or_(*(eq(fx, p) for p in params))
-        )
-        problem = SygusProblem(fun, spec, params, name="max4")
-        synthesizer = ParallelHeightSynthesizer(
-            SynthConfig(timeout=30, max_height=2), width=2, backend="process"
-        )
-        outcome = synthesizer.synthesize(problem)
+        # More worker processes than heights: the surplus stays idle and
+        # the capped race still reports no solution.
+        config = SynthConfig(timeout=30, max_height=2)
+        outcome = _height_race(config, 4).synthesize(_max4_problem())
         assert not outcome.solved

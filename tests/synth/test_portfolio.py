@@ -18,6 +18,21 @@ from repro.synth.portfolio import (
 x, y = int_var("x"), int_var("y")
 
 
+def _recording_factory(seen):
+    """A portfolio member that records the config it was built with."""
+
+    class Recorder:
+        def __init__(self, config):
+            seen.append(config)
+
+        def synthesize(self, problem):
+            from repro.synth.result import SynthesisOutcome, SynthesisStats
+
+            return SynthesisOutcome(None, SynthesisStats())
+
+    return Recorder
+
+
 def _max2_problem():
     fun = SynthFun("f", (x, y), INT, clia_grammar((x, y)))
     fx = fun.apply((x, y))
@@ -57,6 +72,22 @@ class TestSequentialPortfolio:
     def test_empty_portfolio_rejected(self):
         with pytest.raises(ValueError):
             SequentialPortfolio([], SynthConfig())
+
+    def test_members_keep_the_callers_config(self):
+        # Regression: members used to get a SynthConfig rebuilt field by
+        # field, which reset every knob not copied back to its default.
+        seen = []
+        portfolio = SequentialPortfolio(
+            [("a", _recording_factory(seen), 0.5),
+             ("b", _recording_factory(seen), 0.5)],
+            SynthConfig(timeout=60, enable_divide=False, lia_node_budget=123),
+        )
+        assert not portfolio.synthesize(_max2_problem()).solved
+        assert len(seen) == 2
+        for config in seen:
+            assert config.enable_divide is False
+            assert config.lia_node_budget == 123
+            assert 0 < config.timeout <= 60
 
 
 class TestProcessPortfolio:

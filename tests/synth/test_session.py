@@ -11,6 +11,7 @@ from repro.sygus.problem import SygusProblem, SynthFun
 from repro.synth.cegis import CegisTimeout
 from repro.synth.config import SynthConfig
 from repro.synth.fixed_height import FixedHeightSession, fixed_height
+from repro.synth.result import SynthesisStats
 
 x, y = int_var("x"), int_var("y")
 
@@ -67,6 +68,32 @@ class TestSessionLifecycle:
         assert session.rounds >= 0
         body = session.run(examples, deadline=time.monotonic() + 120)
         assert body is not None
+
+    def test_resumed_session_counts_each_started_round_once(self):
+        problem = _max2_problem()
+        stats = SynthesisStats()
+        session = FixedHeightSession(problem, 2, SynthConfig(), stats=stats)
+        examples = []
+        with pytest.raises(CegisTimeout):
+            session.run(examples, deadline=time.monotonic() - 1)
+        inductive_step = session.ind_synth
+        calls = []
+
+        def preempt_first_call(current, deadline):
+            calls.append(len(current))
+            if len(calls) == 1:
+                raise CegisTimeout("preempted inside the inductive step")
+            return inductive_step(current, deadline)
+
+        session.ind_synth = preempt_first_call
+        with pytest.raises(CegisTimeout):
+            session.run(examples, deadline=time.monotonic() + 120)
+        assert not session.exhausted
+        assert session.rounds == stats.cegis_iterations == 1
+        body = session.run(examples, deadline=time.monotonic() + 120)
+        assert body is not None
+        assert len(calls) >= 2
+        assert session.rounds == stats.cegis_iterations
 
 
 class TestSessionStore:

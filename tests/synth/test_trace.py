@@ -1,11 +1,15 @@
-"""Tests for the synthesis trace (observability of Algorithm 1)."""
+"""The run record of a cooperative run: the ambient span stream.
 
+``dryadsynth --trace`` and ``dryadsynth explain`` render this stream; these
+tests read back *how* a problem was solved from it.
+"""
+
+from repro import obs
 from repro.lang import and_, eq, ge, int_var, or_
 from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.problem import SygusProblem, SynthFun
 from repro.synth import CooperativeSynthesizer, SynthConfig
-from repro.synth.trace import SynthesisTrace, TraceEvent
 
 x, y = int_var("x"), int_var("y")
 
@@ -17,112 +21,30 @@ def _max2_problem():
     return SygusProblem(fun, spec, (x, y), name="max2")
 
 
-class TestTraceRecording:
-    def test_events_accumulate_with_timestamps(self):
-        trace = SynthesisTrace()
-        trace.record("deduct", "p")
-        trace.record("enum", "p", "miss", height=1)
-        assert len(trace) == 2
-        assert trace.events[0].elapsed <= trace.events[1].elapsed
-
-    def test_queries(self):
-        trace = SynthesisTrace()
-        trace.record("deduct", "p")
-        trace.record("split", "p", "subterm:p/sub0")
-        trace.record("enum", "p", "miss", height=1)
-        trace.record("enum", "p", "hit", height=2)
-        trace.record("solved", "p", "direct")
-        assert trace.problems_deduced() == ["p"]
-        assert trace.splits() == {"p": ["subterm:p/sub0"]}
-        assert trace.heights_searched("p") == [1, 2]
-        assert trace.solution_source() == "direct"
-
-    def test_render(self):
-        trace = SynthesisTrace()
-        trace.record("enum", "p", "hit", height=2)
-        assert "enum" in trace.render() and "h=2" in trace.render()
-
-    def test_event_str(self):
-        event = TraceEvent("deduct", "max2", elapsed=1.25)
-        assert "deduct" in str(event) and "max2" in str(event)
-
-
-class TestTraceJson:
-    def test_round_trip(self):
-        import json
-
-        trace = SynthesisTrace()
-        trace.record("deduct", "p")
-        trace.record("enum", "p", "miss", height=1)
-        trace.record("solved", "p", "direct")
-        data = json.loads(json.dumps(trace.to_json()))
-        assert data["format"] == "repro-trace/1"
-        clone = SynthesisTrace.from_json(data)
-        assert len(clone) == len(trace)
-        assert clone.events == trace.events
-        assert clone.heights_searched("p") == [1]
-        assert clone.solution_source() == "direct"
-
-    def test_empty_trace_round_trips(self):
-        clone = SynthesisTrace.from_json(SynthesisTrace().to_json())
-        assert len(clone) == 0
-
-    def test_time_base_preserved_across_round_trip(self):
-        """Regression: from_json used to restart the clock at load time.
-
-        Events recorded after deserialization then carried timestamps
-        *earlier* than the preserved ones, so merged/rendered traces went
-        backwards in time.  The serialized ``age`` must anchor new events
-        after everything already in the trace.
-        """
-        trace = SynthesisTrace()
-        trace.record("deduct", "p")
-        data = trace.to_json()
-        assert data["age"] >= trace.events[-1].elapsed
-        clone = SynthesisTrace.from_json(data)
-        clone.record("solved", "p", "direct")
-        preserved, fresh = clone.events
-        assert fresh.elapsed >= preserved.elapsed
-        assert fresh.elapsed >= data["age"]
-        # A second round-trip keeps accumulating age monotonically.
-        again = SynthesisTrace.from_json(clone.to_json())
-        assert again.to_json()["age"] >= data["age"]
-
-    def test_from_json_without_age_falls_back_to_last_event(self):
-        data = {
-            "format": "repro-trace/1",
-            "events": [
-                {"kind": "deduct", "problem": "p", "detail": "",
-                 "height": None, "elapsed": 3.5}
-            ],
-        }
-        clone = SynthesisTrace.from_json(data)
-        clone.record("enum", "p", "miss", height=1)
-        assert clone.events[-1].elapsed >= 3.5
+def _recorded_spans(config):
+    with obs.recording() as recorder:
+        outcome = CooperativeSynthesizer(config).synthesize(_max2_problem())
+    assert outcome.solved
+    return recorder.spans
 
 
 class TestCooperativeIntegration:
     def test_trace_captures_the_run(self):
-        trace = SynthesisTrace()
-        problem = _max2_problem()
-        synthesizer = CooperativeSynthesizer(
-            SynthConfig(timeout=60), trace=trace
-        )
-        outcome = synthesizer.synthesize(problem)
-        assert outcome.solved
-        assert "max2" in trace.problems_deduced()
-        assert trace.of_kind("solved"), "the solution event must be recorded"
+        spans = _recorded_spans(SynthConfig(timeout=60))
+        deducts = [s for s in spans if s.name == "deduct"]
+        assert any(s.attrs.get("problem") == "max2" for s in deducts)
+        (root,) = [s for s in spans if s.name == "synth"]
+        assert root.attrs.get("solved") is True
 
     def test_enum_heights_recorded_when_deduction_disabled(self):
-        trace = SynthesisTrace()
-        problem = _max2_problem()
-        synthesizer = CooperativeSynthesizer(
-            SynthConfig(timeout=60, enable_deduction=False, enable_divide=False),
-            trace=trace,
+        spans = _recorded_spans(
+            SynthConfig(timeout=60, enable_deduction=False, enable_divide=False)
         )
-        outcome = synthesizer.synthesize(problem)
-        assert outcome.solved
-        heights = trace.heights_searched("max2")
+        heights = [
+            s.attrs["height"]
+            for s in sorted(spans, key=lambda s: s.start)
+            if s.name == "enum" and s.attrs.get("problem") == "max2"
+        ]
         assert heights and heights == sorted(heights)
         assert heights[-1] == 2  # max2 lives at height 2
 

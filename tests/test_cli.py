@@ -97,24 +97,22 @@ class TestMultiFunctionCli:
     def test_trace_flag_prints_events(self, max2_file, capsys):
         code = main([max2_file, "--timeout", "60", "--trace"])
         assert code == 0
-        err = capsys.readouterr().err
-        assert "deduct" in err or "enum" in err
+        captured = capsys.readouterr()
+        assert captured.out.startswith("(define-fun max2")
+        assert "subproblem tree:" in captured.err
+        assert "deduction rules" in captured.err
 
-
-class TestTraceJson:
-    def test_trace_json_writes_round_trippable_file(self, max2_file, tmp_path):
-        import json
-
-        from repro.synth.trace import SynthesisTrace
-
-        out = tmp_path / "trace.json"
-        code = main([max2_file, "--timeout", "60", "--trace-json", str(out)])
+    def test_trace_matches_explain_of_the_span_dump(self, max2_file, tmp_path,
+                                                     capsys):
+        spans = str(tmp_path / "max2.spans.jsonl")
+        code = main([max2_file, "--timeout", "60", "--trace",
+                     "--spans-out", spans])
         assert code == 0
-        data = json.loads(out.read_text())
-        assert data["format"] == "repro-trace/1"
-        trace = SynthesisTrace.from_json(data)
-        assert len(trace) > 0
-        assert trace.of_kind("solved")
+        trace_report = capsys.readouterr().err
+        assert main(["explain", spans]) == 0
+        explain_report = capsys.readouterr().out
+        assert explain_report.strip()
+        assert explain_report.strip() in trace_report
 
 
 UNSAT_HEIGHT_SL = """
