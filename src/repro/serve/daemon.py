@@ -239,10 +239,12 @@ class SynthesisDaemon:
     def __init__(self, settings: Optional[ServeSettings] = None) -> None:
         self.settings = settings or ServeSettings()
         self.started_at = time.monotonic()
+        # No ``cache=``: admission already looked the fingerprint up, so a
+        # pool lookup would count every miss twice.  Results are written in
+        # _on_pool_complete instead.
         self.pool = WorkerPool(
             workers=self.settings.workers,
             max_retries=self.settings.retries,
-            cache=self.settings.cache,
             flight_dir=self.settings.flight_dir,
             queue_size=self.settings.max_queue,
             live_cap=self.settings.live_cap,
@@ -513,6 +515,10 @@ class SynthesisDaemon:
                 serve_job.pool_job_id = job.job_id
 
     def _on_pool_complete(self, serve_job: ServeJob, result: JobResult) -> None:
+        # Cache before the job reads as done, so a resubmission after the
+        # terminal event hits.  ``put`` skips non-terminal statuses.
+        if self.settings.cache is not None:
+            self.settings.cache.put(serve_job.fingerprint, result)
         # Finish (and persist) BEFORE releasing the in-flight slot: the
         # drain path closes the results journal the moment inflight hits
         # zero, and "drained" promises every accepted job was persisted.

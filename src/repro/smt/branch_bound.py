@@ -13,8 +13,7 @@ DPLL(T) lemma generation in :mod:`repro.smt.solver`.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
+import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.smt.linear import LinExpr
@@ -55,7 +54,7 @@ def check_lia(
         return True, {name: 0 for name in var_names}
     box = _small_model_bound(real_constraints, len(var_names))
     search = _Search(var_names, real_constraints, box, max_nodes, deadline)
-    outcome = search.solve([])
+    outcome = search.solve()
     if isinstance(outcome, dict):
         return True, outcome
     core: List[object] = []
@@ -85,20 +84,14 @@ def _small_model_bound(
     return n * (m * biggest + 1) ** exponent
 
 
-def _new_frame(bounds, branch_request):
-    name, floor_v = branch_request
-    return {
-        "bounds": bounds,
-        "name": name,
-        "floor": floor_v,
-        "low_tag": _BranchTag(),
-        "high_tag": _BranchTag(),
-        "phase": 0,
-        "low_core": None,
-    }
-
-
 class _Search:
+    """Depth-first branch-and-bound over one simplex tableau.
+
+    The box and the constraints are asserted once, at the root.  Each child
+    node pushes a level, asserts its branch bound and re-checks from the
+    parent's basis; leaving the node pops the level again.
+    """
+
     def __init__(
         self,
         var_names: Sequence[str],
@@ -107,13 +100,14 @@ class _Search:
         max_nodes: int,
         deadline: Optional[float] = None,
     ) -> None:
-        self._var_names = list(var_names)
+        self._simplex = Simplex()
+        self._vars = [(name, self._simplex.new_var()) for name in var_names]
         self._constraints = list(constraints)
         self._box = box
         self._nodes_left = max_nodes
         self._deadline = deadline
 
-    def solve(self, root_bounds: List[Tuple[str, bool, int, object]]):
+    def solve(self):
         """Returns an int model dict, or a list of tags (conflict core).
 
         Iterative depth-first branch-and-bound.  Conflict cores of sibling
@@ -121,143 +115,129 @@ class _Search:
         if ``A ∪ {x <= f}`` and ``B ∪ {x >= f+1}`` are both infeasible then
         ``A ∪ B`` forces ``f < x < f+1``, which no integer satisfies.
         """
-        # Each stack frame: (bounds, state) where state is None (not yet
-        # solved), or ("split", name, floor_v, low_result) awaiting children.
-        result = self._solve_leaf(root_bounds)
+        result = self._solve_root()
         if not isinstance(result, tuple):
             return result
-        # Explicit DFS over pending branch decisions.
-        stack: List[dict] = [
-            {
-                "bounds": root_bounds,
-                "name": result[0],
-                "floor": result[1],
-                "low_tag": _BranchTag(),
-                "high_tag": _BranchTag(),
-                "phase": 0,
-                "low_core": None,
-            }
-        ]
-        child_result = None
+        # One frame per node that branched: ``[var, floor, tag, cores]``,
+        # where ``cores`` collects its children's stripped cores, low first.
+        # Every frame but the root's sits on its own simplex level.
+        stack: List[list] = [[*result, _BranchTag(), []]]
+        core: Optional[List[object]] = None
         while stack:
             frame = stack[-1]
-            if frame["phase"] == 0:
-                frame["phase"] = 1
-                branch = frame["bounds"] + [
-                    (frame["name"], False, frame["floor"], frame["low_tag"])
-                ]
-                outcome = self._solve_leaf(branch)
-                if isinstance(outcome, tuple):
-                    stack.append(_new_frame(branch, outcome))
-                    continue
-                if isinstance(outcome, dict):
-                    return outcome
-                frame["low_core"] = outcome
-                continue
-            if frame["phase"] == 1:
-                if child_result is not None:
-                    if isinstance(child_result, dict):
-                        return child_result
-                    frame["low_core"] = child_result
-                    child_result = None
-                frame["phase"] = 2
-                branch = frame["bounds"] + [
-                    (frame["name"], True, frame["floor"] + 1, frame["high_tag"])
-                ]
-                outcome = self._solve_leaf(branch)
-                if isinstance(outcome, tuple):
-                    stack.append(_new_frame(branch, outcome))
-                    continue
-                if isinstance(outcome, dict):
-                    return outcome
-                frame["high_core"] = outcome
-                # fall through to combine
-            if frame["phase"] == 2 and child_result is not None:
-                if isinstance(child_result, dict):
-                    return child_result
-                frame["high_core"] = child_result
-                child_result = None
-            if frame["phase"] == 2 and "high_core" in frame:
-                low_core = frame["low_core"] or []
-                high_core = frame["high_core"] or []
-                combined = [t for t in low_core if t is not frame["low_tag"]] + [
-                    t for t in high_core if t is not frame["high_tag"]
-                ]
+            var, floor_v, tag, cores = frame
+            if core is not None:
+                cores.append([t for t in core if t is not tag])
+                core = None
+            if len(cores) == 2:
                 stack.pop()
-                child_result = combined
-        return child_result if child_result is not None else []
+                if stack:
+                    self._simplex.pop()
+                core = cores[0] + cores[1]
+                continue
+            if cores:
+                bound = Bound(var, True, floor_v + 1, tag)
+            else:
+                bound = Bound(var, False, floor_v, tag)
+            outcome = self._solve_child(bound)
+            if isinstance(outcome, dict):
+                return outcome
+            if isinstance(outcome, list):
+                self._simplex.pop()
+                core = outcome
+                continue
+            stack.append([*outcome, _BranchTag(), []])
+        return core if core is not None else []
 
-    def _solve_leaf(self, branch_bounds: List[Tuple[str, bool, int, object]]):
-        """Solve the LP relaxation under the given extra bounds.
-
-        Returns an int model (dict), a conflict core (list), or a branching
-        request ``(var_name, floor_value)`` (tuple) when fractional.
-        """
+    def _count_node(self) -> None:
         if self._nodes_left <= 0:
             raise BudgetExceeded("branch-and-bound node budget exhausted")
         if self._deadline is not None and self._nodes_left % 32 == 0:
-            import time
-
             if time.monotonic() > self._deadline:
                 raise BudgetExceeded("branch-and-bound deadline exceeded")
         self._nodes_left -= 1
-        simplex = Simplex()
-        index: Dict[str, int] = {}
-        for name in self._var_names:
-            index[name] = simplex.new_var()
+
+    def _solve_root(self):
+        """Build the tableau and solve the root LP relaxation.
+
+        Returns an int model (dict), a conflict core (list), or a branching
+        request ``(var, floor_value)`` (tuple) when fractional.
+        """
+        self._count_node()
+        simplex = self._simplex
         slack_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
+        index = dict(self._vars)
         try:
-            for name in self._var_names:
-                var = index[name]
-                simplex.assert_bound(Bound(var, True, Fraction(-self._box), None))
-                simplex.assert_bound(Bound(var, False, Fraction(self._box), None))
+            for _, var in self._vars:
+                simplex.assert_bound(Bound(var, True, -self._box, None))
+                simplex.assert_bound(Bound(var, False, self._box, None))
             for expr, tag in self._constraints:
-                self._assert_constraint(simplex, index, slack_cache, expr, tag)
-            for name, is_lower, value, tag in branch_bounds:
-                simplex.assert_bound(Bound(index[name], is_lower, Fraction(value), tag))
+                self._assert_constraint(index, slack_cache, expr, tag)
             simplex.check()
         except Conflict as conflict:
-            return [bound.tag for bound in conflict.bounds]
-        # Rational model found; branch on the most fractional variable.
-        best_name = None
-        best_score = Fraction(0)
-        best_value = Fraction(0)
-        for name in self._var_names:
-            value = simplex.value(index[name])
-            if value.denominator != 1:
-                fractional_part = value - math.floor(value)
-                score = min(fractional_part, 1 - fractional_part)
-                if best_name is None or score > best_score:
-                    best_name, best_score, best_value = name, score, value
-        if best_name is None:
-            return {
-                name: int(simplex.value(index[name])) for name in self._var_names
-            }
-        return (best_name, math.floor(best_value))
+            return [blame.tag for blame in conflict.bounds]
+        return self._branch_or_model()
+
+    def _solve_child(self, bound: Bound):
+        """Push a level holding ``bound`` and solve the LP relaxation there.
+
+        Same results as :meth:`_solve_root`; the caller pops the level.
+        """
+        self._count_node()
+        simplex = self._simplex
+        simplex.push()
+        try:
+            simplex.assert_bound(bound)
+            simplex.check()
+        except Conflict as conflict:
+            return [blame.tag for blame in conflict.bounds]
+        return self._branch_or_model()
+
+    def _branch_or_model(self):
+        """The integer model, or a branch on the most fractional variable."""
+        raw_value = self._simplex.raw_value
+        best = None
+        best_dist, best_den = 0, 1
+        for _, var in self._vars:
+            num, den = raw_value(var)
+            rem = num % den
+            if rem:
+                # Distance to the nearest integer is dist / den; compare
+                # exactly, the first (in name order) of the largest wins.
+                dist = min(rem, den - rem)
+                if best is None or dist * best_den > best_dist * den:
+                    best, best_dist, best_den = (var, num // den), dist, den
+        if best is None:
+            model = {}
+            for name, var in self._vars:
+                num, den = raw_value(var)
+                model[name] = num // den
+            return model
+        return best
 
     def _assert_constraint(
         self,
-        simplex: Simplex,
         index: Dict[str, int],
         slack_cache: Dict[Tuple[Tuple[str, int], ...], int],
         expr: LinExpr,
         tag: object,
     ) -> None:
         # expr >= 0  <=>  sum(c_i x_i) >= -const.
-        threshold = Fraction(-expr.const)
+        simplex = self._simplex
+        threshold = -expr.const
         if len(expr.coeffs) == 1:
             name, coeff = expr.coeffs[0]
             var = index[name]
-            limit = threshold / coeff
             if coeff > 0:
-                simplex.assert_bound(Bound(var, True, Fraction(math.ceil(limit)), tag))
+                # x >= ceil(threshold / coeff)
+                simplex.assert_bound(Bound(var, True, -(-threshold // coeff), tag))
             else:
-                simplex.assert_bound(Bound(var, False, Fraction(math.floor(limit)), tag))
+                # x <= floor(threshold / coeff)
+                simplex.assert_bound(Bound(var, False, threshold // coeff, tag))
             return
         key = expr.coeffs
         slack = slack_cache.get(key)
         if slack is None:
-            combo = {index[name]: Fraction(coeff) for name, coeff in expr.coeffs}
-            slack = simplex.new_slack(combo)
+            slack = simplex.new_slack({index[name]: coeff for name, coeff in expr.coeffs})
             slack_cache[key] = slack
         simplex.assert_bound(Bound(slack, True, threshold, tag))

@@ -9,7 +9,6 @@ simplex otherwise (this one change is worth ~3-4x on the SMT substrate).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Tuple
 
@@ -45,14 +44,6 @@ def _maybe_norm(num: int, den: int) -> Rat:
 
 def from_int(value: int) -> Rat:
     return (value, 1)
-
-
-def from_fraction(value: Fraction) -> Rat:
-    return (value.numerator, value.denominator)
-
-
-def to_fraction(a: Rat) -> Fraction:
-    return Fraction(a[0], a[1])
 
 
 def radd(a: Rat, b: Rat) -> Rat:

@@ -7,9 +7,12 @@ combinations of the originals, and a Bland-rule pivoting loop either finds
 an assignment within all bounds or reports a conflicting set of bounds (the
 infeasibility explanation used for DPLL(T) lemmas).
 
-Arithmetic uses the tuple rationals of :mod:`repro.smt.rational` rather than
-``fractions.Fraction``; the public interface (:class:`Bound`, :meth:`value`)
-still speaks ``Fraction``.
+Bounds are backtrackable: :meth:`Simplex.push` marks a level and
+:meth:`Simplex.pop` restores every bound tightened since the mark, keeping
+the tableau and the assignment, so a caller exploring nearby bound sets
+(branch-and-bound) re-checks from the last feasible basis instead of from
+scratch.  Bounds and slack coefficients are integers; the tableau and the
+assignment are the tuple rationals of :mod:`repro.smt.rational`.
 """
 
 from __future__ import annotations
@@ -26,13 +29,11 @@ def pivots_total() -> int:
     return _PIVOT_TALLY[0]
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.smt.rational import (
     Rat,
     ZERO,
-    from_fraction,
     is_zero,
     radd,
     rdiv,
@@ -40,7 +41,6 @@ from repro.smt.rational import (
     rmul,
     rneg,
     rsub,
-    to_fraction,
 )
 
 
@@ -55,7 +55,7 @@ class Bound:
 
     var: int
     is_lower: bool
-    value: Fraction
+    value: int
     tag: Optional[object] = None
 
 
@@ -72,7 +72,8 @@ class Simplex:
 
     Usage: create variables with :meth:`new_var`, define slack variables with
     :meth:`new_slack`, assert bounds with :meth:`assert_bound`, then call
-    :meth:`check`.
+    :meth:`check`.  Bounds asserted after :meth:`push` are retracted by the
+    matching :meth:`pop`.
     """
 
     def __init__(self) -> None:
@@ -85,6 +86,11 @@ class Simplex:
         self._lower_val: List[Optional[Rat]] = []
         self._upper_val: List[Optional[Rat]] = []
         self._assign: List[Rat] = []
+        # Bounds overwritten since the open levels began, as
+        # ``(var, is_lower, old_bound, old_value)``, and the trail length at
+        # each :meth:`push`.
+        self._trail: List[Tuple[int, bool, Optional[Bound], Optional[Rat]]] = []
+        self._levels: List[int] = []
 
     def new_var(self) -> int:
         index = self._num_vars
@@ -97,14 +103,14 @@ class Simplex:
         self._assign.append(ZERO)
         return index
 
-    def new_slack(self, combo: Dict[int, Fraction]) -> int:
+    def new_slack(self, combo: Dict[int, int]) -> int:
         """A fresh basic variable defined as ``sum(coeff * var)``."""
         index = self.new_var()
         row: Dict[int, Rat] = {}
-        for var, fraction_coeff in combo.items():
-            coeff = from_fraction(Fraction(fraction_coeff))
-            if is_zero(coeff):
+        for var, int_coeff in combo.items():
+            if not int_coeff:
                 continue
+            coeff = (int_coeff, 1)
             if self._is_basic[var]:
                 for inner_var, inner_coeff in self._rows[var].items():
                     merged = radd(row.get(inner_var, ZERO), rmul(coeff, inner_coeff))
@@ -126,35 +132,56 @@ class Simplex:
         self._assign[index] = value
         return index
 
+    def push(self) -> None:
+        """Open a level: the next :meth:`pop` retracts bounds asserted after it."""
+        self._levels.append(len(self._trail))
+
+    def pop(self) -> None:
+        """Restore every bound overwritten since the matching :meth:`push`.
+
+        The assignment stays: popping only relaxes bounds, so every nonbasic
+        variable is still within its bounds and the next :meth:`check`
+        starts from the current basis.
+        """
+        mark = self._levels.pop()
+        trail = self._trail
+        while len(trail) > mark:
+            var, is_lower, bound, value = trail.pop()
+            if is_lower:
+                self._lower[var] = bound
+                self._lower_val[var] = value
+            else:
+                self._upper[var] = bound
+                self._upper_val[var] = value
+
     def assert_bound(self, bound: Bound) -> None:
         """Assert a bound, keeping only the strongest per direction."""
-        value = from_fraction(bound.value)
-        store_val = self._lower_val if bound.is_lower else self._upper_val
-        store = self._lower if bound.is_lower else self._upper
-        current = store_val[bound.var]
-        if current is not None:
-            if bound.is_lower and not rlt(current, value):
-                return
-            if not bound.is_lower and not rlt(value, current):
-                return
-        opposite_val = (
-            self._upper_val[bound.var] if bound.is_lower else self._lower_val[bound.var]
-        )
-        if opposite_val is not None:
-            opposite = (
-                self._upper[bound.var] if bound.is_lower else self._lower[bound.var]
-            )
-            if bound.is_lower and rlt(opposite_val, value):
-                raise Conflict([bound, opposite])
-            if not bound.is_lower and rlt(value, opposite_val):
-                raise Conflict([bound, opposite])
-        store[bound.var] = bound
-        store_val[bound.var] = value
+        value = (bound.value, 1)
         var = bound.var
+        is_lower = bound.is_lower
+        store_val = self._lower_val if is_lower else self._upper_val
+        store = self._lower if is_lower else self._upper
+        current = store_val[var]
+        if current is not None:
+            if is_lower and not rlt(current, value):
+                return
+            if not is_lower and not rlt(value, current):
+                return
+        opposite_val = self._upper_val[var] if is_lower else self._lower_val[var]
+        if opposite_val is not None:
+            opposite = self._upper[var] if is_lower else self._lower[var]
+            if is_lower and rlt(opposite_val, value):
+                raise Conflict([bound, opposite])
+            if not is_lower and rlt(value, opposite_val):
+                raise Conflict([bound, opposite])
+        if self._levels:
+            self._trail.append((var, is_lower, store[var], current))
+        store[var] = bound
+        store_val[var] = value
         if not self._is_basic[var]:
-            if bound.is_lower and rlt(self._assign[var], value):
+            if is_lower and rlt(self._assign[var], value):
                 self._update(var, value)
-            elif not bound.is_lower and rlt(value, self._assign[var]):
+            elif not is_lower and rlt(value, self._assign[var]):
                 self._update(var, value)
 
     def _update(self, nonbasic: int, value: Rat) -> None:
@@ -285,10 +312,8 @@ class Simplex:
             explanation.append(blocking)
         return explanation
 
-    def value(self, var: int) -> Fraction:
-        return to_fraction(self._assign[var])
-
     def raw_value(self, var: int) -> Rat:
+        """The current assignment of ``var``, as an unnormalised rational."""
         return self._assign[var]
 
     @property

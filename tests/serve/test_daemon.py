@@ -150,6 +150,17 @@ class TestCacheAdmission:
         assert daemon.pool.pool_stats()["jobs_dispatched"] == dispatched_before
         assert daemon.cache_admissions == 1
 
+    def test_one_lookup_per_request(self, stack, tmp_path):
+        # Admission is the only lookup: the pool must not count the miss
+        # a second time before running the job.
+        cache = ResultCache(tmp_path / "cache")
+        daemon, server = stack(cache=cache)
+        _, _, first = post_json(server.url, {"problem": "p", "name": "n"})
+        wait_terminal(server.url, first["id"])
+        _, _, second = post_json(server.url, {"problem": "p", "name": "n"})
+        assert second["from_cache"] is True
+        assert (cache.misses, cache.hits) == (1, 1)
+
     def test_different_problems_miss(self, stack, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         daemon, server = stack(cache=cache)

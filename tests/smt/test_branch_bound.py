@@ -2,10 +2,11 @@
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.smt.branch_bound import check_lia
+from repro.smt.branch_bound import BudgetExceeded, check_lia
 from repro.smt.linear import LinExpr
+from repro.smt.simplex import Simplex
 
 
 def _holds(constraints, env):
@@ -99,10 +100,6 @@ _small_expr = st.builds(
 @given(st.lists(st.tuples(_small_expr, st.integers()), min_size=1, max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_check_lia_agrees_with_brute_force(raw_constraints):
-    from hypothesis import assume
-
-    from repro.smt.branch_bound import BudgetExceeded
-
     constraints = [
         (expr, f"c{i}") for i, (expr, _) in enumerate(raw_constraints)
     ]
@@ -121,6 +118,65 @@ def test_check_lia_agrees_with_brute_force(raw_constraints):
         by_tag = dict((tag, expr) for expr, tag in constraints)
         core_constraints = [(by_tag[tag], tag) for tag in payload]
         assert not _brute_force(core_constraints, ["x", "y"])
+
+
+_names3 = ["x", "y", "z"]
+_wide_coeff = st.sampled_from([-7, -6, -5, -4, -3, -2, 2, 3, 4, 5, 6, 7])
+
+
+@st.composite
+def _branching_constraints(draw):
+    """Two to four constraints over two or three of x, y, z, each optionally
+    paired with its reverse to form a band ``0 <= e <= w`` of width 0 to 2.
+    Coefficients of magnitude 2 or more and thin bands put the LP vertices
+    off the integer lattice, so the search must branch."""
+    constraints = []
+    for index in range(draw(st.integers(2, 4))):
+        coeffs = draw(st.dictionaries(
+            st.sampled_from(_names3), _wide_coeff, min_size=2
+        ))
+        const = draw(st.integers(-20, 20))
+        constraints.append((LinExpr(coeffs, const), f"c{index}"))
+        if draw(st.booleans()):
+            width = draw(st.integers(0, 2))
+            negated = {name: -coeff for name, coeff in coeffs.items()}
+            constraints.append((LinExpr(negated, width - const), f"c{index}-band"))
+    return constraints
+
+
+def test_deep_branching_agrees_with_brute_force(monkeypatch):
+    """Three variables: models hold, unsat agrees with brute force, every
+    core is jointly infeasible, and a real share of draws branches."""
+    checks = [0]
+    original_check = Simplex.check
+
+    def counting_check(self):
+        checks[0] += 1
+        return original_check(self)
+
+    monkeypatch.setattr(Simplex, "check", counting_check)
+    nodes_per_draw = []
+
+    @given(_branching_constraints())
+    @settings(max_examples=150, deadline=None, database=None)
+    def agrees(constraints):
+        checks[0] = 0
+        try:
+            feasible, payload = check_lia(constraints, max_nodes=400)
+        except BudgetExceeded:
+            assume(False)
+            return
+        nodes_per_draw.append(checks[0])
+        if feasible:
+            assert _holds(constraints, {n: payload.get(n, 0) for n in _names3})
+            return
+        assert not _brute_force(constraints, _names3)
+        by_tag = {tag: expr for expr, tag in constraints}
+        assert not _brute_force([(by_tag[t], t) for t in payload], _names3)
+
+    agrees()
+    deep = sum(1 for nodes in nodes_per_draw if nodes >= 3)
+    assert deep * 4 >= len(nodes_per_draw), (deep, len(nodes_per_draw))
 
 
 class TestBudgets:
