@@ -6,10 +6,14 @@ same difficulty axes — solution height, number of spec conjuncts, number of
 variables, and ad-hoc grammar operators.
 """
 
-from repro.bench.suite import Benchmark, full_suite, suite_by_track
+from repro.bench.suite import (
+    Benchmark,
+    demo_subset,
+    full_suite,
+    suite_by_track,
+)
 from repro.bench.runner import RunResult, SOLVER_NAMES, make_solver, run_suite
-from repro.bench.quick_bench import demo_subset, run_quick_bench
-from repro.bench import analytics, report
+from repro.bench import report
 
 __all__ = [
     "Benchmark",
@@ -20,7 +24,5 @@ __all__ = [
     "make_solver",
     "run_suite",
     "demo_subset",
-    "run_quick_bench",
-    "analytics",
     "report",
 ]

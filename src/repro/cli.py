@@ -23,9 +23,6 @@ profile recorded with ``--sample`` — hottest frames, FlameGraph/speedscope
 ``dryadsynth postmortem journal.flight.jsonl`` reconstructs what a killed
 worker was doing from its flight-recorder journal (``batch --flight-dir``).
 
-``dryadsynth bench-compare`` gates a quick-bench run against the committed
-``BENCH_history.jsonl`` regression history (see :mod:`repro.bench.history`).
-
 ``dryadsynth explain`` renders the search forensics of a run — the
 subproblem tree with per-node wall/SMT attribution, the deduction
 rule-firing table, and (for unsolved runs) the failure frontier — from a
@@ -35,18 +32,9 @@ rule-firing table, and (for unsolved runs) the failure frontier — from a
 (``--smt-corpus``) on a fresh solver and reports status/model divergences
 and timing percentiles (:mod:`repro.smt.capture`).
 
-``dryadsynth smt-bench`` replays the committed corpus *as a benchmark*:
-solver-only (no synthesis loop in the measurement), query-memo enabled,
-and the total replay wall gated against the ``smt-bench`` records in
-``BENCH_history.jsonl`` (see docs/SMT.md).
-
 ``dryadsynth diff runA.jsonl runB.jsonl`` compares two runs' span dumps:
 per-node self-wall deltas aligned by stable node id, solved-set changes,
 strategy drift and the rule-firing delta table (:mod:`repro.obs.diff`).
-
-``dryadsynth history`` queries the committed per-node analytics store
-(``BENCH_analytics.jsonl``): how a subproblem node behaved across runs —
-strategies, rule firings, heights, outcomes (:mod:`repro.bench.analytics`).
 """
 
 from __future__ import annotations
@@ -210,32 +198,8 @@ def _smt_capturing(args, problem_name: str):
 def main(argv: Optional[list] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "batch":
-        return _batch_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "top":
-        from repro.serve.top import main as top_main
-
-        return top_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return _profile_main(argv[1:])
-    if argv and argv[0] == "flame":
-        return _flame_main(argv[1:])
-    if argv and argv[0] == "postmortem":
-        return _postmortem_main(argv[1:])
-    if argv and argv[0] == "bench-compare":
-        return _bench_compare_main(argv[1:])
-    if argv and argv[0] == "explain":
-        return _explain_main(argv[1:])
-    if argv and argv[0] == "diff":
-        return _diff_main(argv[1:])
-    if argv and argv[0] == "history":
-        return _history_main(argv[1:])
-    if argv and argv[0] == "smt-replay":
-        return _smt_replay_main(argv[1:])
-    if argv and argv[0] == "smt-bench":
-        return _smt_bench_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]](argv[1:])
     args = build_arg_parser().parse_args(argv)
     with _json_logging(args):
         return _single_main(args)
@@ -835,204 +799,6 @@ def _serve_main(argv) -> int:
     return 0
 
 
-def build_bench_compare_arg_parser() -> argparse.ArgumentParser:
-    from repro.bench.history import (
-        DEFAULT_MAX_LATENCY_GROWTH,
-        DEFAULT_MAX_WALL_GROWTH,
-        DEFAULT_WINDOW,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="dryadsynth bench-compare",
-        description=(
-            "Gate a quick-bench run against the committed benchmark "
-            "regression history: fail on a solved-set shrink or on median "
-            "per-problem wall growth beyond the budget."
-        ),
-    )
-    parser.add_argument(
-        "--against",
-        default="BENCH_history.jsonl",
-        metavar="PATH",
-        help="history JSONL store to gate against "
-        "(default: BENCH_history.jsonl)",
-    )
-    parser.add_argument(
-        "--from-dir",
-        default=None,
-        metavar="DIR",
-        help="reuse quick-bench artifacts (quick_bench.jsonl + "
-        "quick_bench_summary.json) from DIR instead of re-running the "
-        "demo subset",
-    )
-    parser.add_argument(
-        "--from-loadgen",
-        default=None,
-        metavar="PATH",
-        help="gate a serve-mode loadgen report (repro.serve.loadgen --out) "
-        "instead of a quick-bench run; compares only against other "
-        "serve-mode history records and applies the p99 latency gate",
-    )
-    parser.add_argument("--solver", default="dryadsynth")
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="per-problem budget when running fresh (default: 2)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=DEFAULT_WINDOW,
-        metavar="N",
-        help=f"trailing history records forming the baseline "
-        f"(default: {DEFAULT_WINDOW})",
-    )
-    parser.add_argument(
-        "--max-wall-growth",
-        type=float,
-        default=DEFAULT_MAX_WALL_GROWTH,
-        metavar="FRACTION",
-        help="allowed median per-problem wall growth "
-        "(default: 0.15 = 15%%)",
-    )
-    parser.add_argument(
-        "--max-latency-growth",
-        type=float,
-        default=DEFAULT_MAX_LATENCY_GROWTH,
-        metavar="FRACTION",
-        help="allowed p99 submit-to-result latency growth for serve-mode "
-        "records (default: 0.5 = 50%%)",
-    )
-    parser.add_argument(
-        "--append",
-        action="store_true",
-        help="append this run's record to the history store when it passes",
-    )
-    parser.add_argument(
-        "--record-out",
-        default=None,
-        metavar="PATH",
-        help="also write this run's history record as JSON to PATH "
-        "(the CI artifact)",
-    )
-    parser.add_argument(
-        "--explain",
-        action="store_true",
-        help="on gate failure, attribute the regression: name the "
-        "genuinely-slower problems and — when a span dump is available — "
-        "the phases and subproblem nodes where the time went",
-    )
-    parser.add_argument(
-        "--spans",
-        default=None,
-        metavar="PATH",
-        help="span dump of the gated run for --explain drill-down "
-        "(default: <from-dir>/quick_bench.spans.jsonl when --from-dir "
-        "is given)",
-    )
-    parser.add_argument(
-        "--baseline-spans",
-        default=None,
-        metavar="PATH",
-        help="span dump of a baseline run; with --explain, prints the "
-        "full per-node run diff (`dryadsynth diff`) against it",
-    )
-    return parser
-
-
-def _explain_comparison(args, comparison, record) -> None:
-    """The ``bench-compare --explain`` drill-down, printed after the gate."""
-    import os
-
-    from repro.bench.analytics import attribute_regression
-
-    spans = events = None
-    spans_path = args.spans
-    if spans_path is None and args.from_dir:
-        candidate = os.path.join(args.from_dir, "quick_bench.spans.jsonl")
-        if os.path.exists(candidate):
-            spans_path = candidate
-    if spans_path:
-        from repro.obs.export import read_spans_jsonl
-
-        try:
-            spans, events, _ = read_spans_jsonl(spans_path)
-        except (OSError, ValueError) as exc:
-            print(f"warning: cannot read spans: {exc}", file=sys.stderr)
-    print(attribute_regression(comparison, record, spans=spans, events=events))
-    if args.baseline_spans and spans_path:
-        from repro.obs.diff import diff_from_files, render_diff
-
-        try:
-            diff = diff_from_files(args.baseline_spans, spans_path)
-        except (OSError, ValueError) as exc:
-            print(f"warning: cannot diff spans: {exc}", file=sys.stderr)
-            return
-        print()
-        print(render_diff(diff))
-
-
-def _bench_compare_main(argv) -> int:
-    from repro.bench import history as bench_history
-
-    args = build_bench_compare_arg_parser().parse_args(argv)
-    if args.from_loadgen:
-        try:
-            with open(args.from_loadgen) as handle:
-                report = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read loadgen report: {exc}",
-                  file=sys.stderr)
-            return 2
-        record = bench_history.record_from_loadgen(
-            report, solver=args.solver, timeout=args.timeout
-        )
-    elif args.from_dir:
-        try:
-            result = bench_history.result_from_artifacts(args.from_dir)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read artifacts: {exc}", file=sys.stderr)
-            return 2
-        record = bench_history.record_from_quick_bench(result)
-    else:
-        from repro.bench.quick_bench import run_quick_bench
-
-        print(
-            f"; running the demo subset (solver={args.solver}, "
-            f"timeout={args.timeout:g}s)",
-            file=sys.stderr,
-        )
-        result = run_quick_bench(args.solver, args.timeout)
-        record = bench_history.record_from_quick_bench(result)
-    history = bench_history.load_history(args.against)
-    comparison = bench_history.compare(
-        record,
-        history,
-        window=args.window,
-        max_wall_growth=args.max_wall_growth,
-        max_latency_growth=args.max_latency_growth,
-    )
-    print(comparison.render())
-    if args.explain and not comparison.ok:
-        _explain_comparison(args, comparison, record)
-    if args.record_out:
-        try:
-            with open(args.record_out, "w") as handle:
-                json.dump(record, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"warning: cannot write record: {exc}", file=sys.stderr)
-    if args.append and comparison.ok:
-        try:
-            bench_history.append_history(args.against, record)
-            print(f"; recorded into {args.against}", file=sys.stderr)
-        except OSError as exc:
-            print(f"warning: cannot append history: {exc}", file=sys.stderr)
-    return 0 if comparison.ok else 1
-
-
 def build_profile_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dryadsynth profile",
@@ -1383,107 +1149,6 @@ def _diff_main(argv) -> int:
     return 0
 
 
-def build_history_arg_parser() -> argparse.ArgumentParser:
-    from repro.bench.analytics import DEFAULT_STORE
-
-    parser = argparse.ArgumentParser(
-        prog="dryadsynth history",
-        description=(
-            "Query the per-node analytics store: how a subproblem node "
-            "behaved across recorded runs (strategies, deduction rules, "
-            "heights, outcomes, self wall).  With no node ids, prints the "
-            "store-wide summary of the hottest nodes.  Exit codes: 0 ok, "
-            "1 a queried node has no records, 2 usage/IO."
-        ),
-    )
-    parser.add_argument(
-        "node_ids",
-        nargs="*",
-        help="stable node id(s) to query (as printed by explain/diff)",
-    )
-    parser.add_argument(
-        "--store",
-        default=DEFAULT_STORE,
-        metavar="PATH",
-        help=f"analytics JSONL store (default: {DEFAULT_STORE})",
-    )
-    parser.add_argument(
-        "--from-spans",
-        default=None,
-        metavar="PATH",
-        help="fold a span dump (from --spans-out) into a new analytics "
-        "record first; with --append it is persisted to the store",
-    )
-    parser.add_argument(
-        "--append",
-        action="store_true",
-        help="append the --from-spans record to the store",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        metavar="K",
-        help="nodes in the store-wide summary (default: 10)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit records/aggregates as JSON instead of a report",
-    )
-    return parser
-
-
-def _history_main(argv) -> int:
-    from repro.bench import analytics
-
-    args = build_history_arg_parser().parse_args(argv)
-    records = analytics.load_analytics(args.store)
-    if args.from_spans:
-        from repro.obs.export import read_spans_jsonl
-
-        try:
-            spans, events, _ = read_spans_jsonl(args.from_spans)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        record = analytics.record_from_run(spans, events)
-        records.append(record)
-        if args.append:
-            try:
-                analytics.append_analytics(args.store, record)
-            except OSError as exc:
-                print(f"error: cannot append: {exc}", file=sys.stderr)
-                return 2
-            print(
-                f"recorded {len(record['nodes'])} node(s) into "
-                f"{args.store}",
-                file=sys.stderr,
-            )
-    if not args.node_ids:
-        if args.json:
-            print(json.dumps(records, indent=1, sort_keys=True))
-        else:
-            print(analytics.render_store_summary(records, top=args.top))
-        return 0
-    missing = False
-    payload = {}
-    for node_id in args.node_ids:
-        rows = analytics.query_node(records, node_id)
-        if not rows:
-            missing = True
-        if args.json:
-            payload[node_id] = {
-                "aggregate": analytics.aggregate_node(rows) if rows else None,
-                "runs": [entry for _, entry in rows],
-            }
-        else:
-            print(analytics.render_node_history(node_id, rows))
-    if args.json:
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    return 1 if missing else 0
-
-
 def build_smt_replay_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dryadsynth smt-replay",
@@ -1526,192 +1191,25 @@ def _smt_replay_main(argv) -> int:
     return 0
 
 
-def build_smt_bench_arg_parser() -> argparse.ArgumentParser:
-    from repro.bench.history import (
-        DEFAULT_MAX_WALL_GROWTH,
-        DEFAULT_WINDOW,
-    )
+def _top_main(argv) -> int:
+    from repro.serve.top import main as top_main
 
-    parser = argparse.ArgumentParser(
-        prog="dryadsynth smt-bench",
-        description=(
-            "Replay the committed SMT query corpus solver-only as a "
-            "benchmark: every query re-solved with the semantic query memo "
-            "shared across the run, every status and model "
-            "divergence-checked, and the total replay wall gated against "
-            "the smt-bench records in the regression history.  Exit codes: "
-            "0 ok, 1 gate regression, 2 usage/IO, 3 corrupt corpus, "
-            "4 status divergence, 5 model divergence."
-        ),
-    )
-    parser.add_argument(
-        "corpus",
-        nargs="?",
-        default="smt_corpus",
-        help="corpus directory (from --smt-corpus) or a single "
-        "*.smtq.jsonl file (default: smt_corpus)",
-    )
-    parser.add_argument(
-        "--no-memo",
-        action="store_true",
-        help="disable the query memo: replay every query from scratch "
-        "(measures the raw solver path)",
-    )
-    parser.add_argument(
-        "--against",
-        default="BENCH_history.jsonl",
-        metavar="PATH",
-        help="history JSONL store to gate against "
-        "(default: BENCH_history.jsonl)",
-    )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=DEFAULT_WINDOW,
-        metavar="N",
-        help=f"trailing smt-bench records forming the baseline "
-        f"(default: {DEFAULT_WINDOW})",
-    )
-    parser.add_argument(
-        "--max-wall-growth",
-        type=float,
-        default=DEFAULT_MAX_WALL_GROWTH,
-        metavar="FRACTION",
-        help="allowed total replay wall growth (default: 0.15 = 15%%)",
-    )
-    parser.add_argument(
-        "--append",
-        action="store_true",
-        help="append this run's record to the history store when it passes",
-    )
-    parser.add_argument(
-        "--record-out",
-        default=None,
-        metavar="PATH",
-        help="also write this run's history record as JSON to PATH "
-        "(the CI artifact)",
-    )
-    parser.add_argument(
-        "--jsonl",
-        default=None,
-        metavar="PATH",
-        help="write one JSON row per corpus file (queries, wall, memo "
-        "deltas, divergences) to PATH",
-    )
-    return parser
+    return top_main(argv)
 
 
-def _smt_bench_main(argv) -> int:
-    from repro.bench import history as bench_history
-    from repro.smt import capture
-    from repro.smt import memo as smt_memo
-
-    args = build_smt_bench_arg_parser().parse_args(argv)
-    memo = None if args.no_memo else smt_memo.QueryMemo()
-    try:
-        files = capture.corpus_files(args.corpus)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not files:
-        print(
-            f"error: no .smtq.jsonl corpus files under {args.corpus!r}",
-            file=sys.stderr,
-        )
-        return 2
-    report = capture.ReplayReport()
-    rows = []
-    for path in files:
-        marks = (
-            report.entries,
-            report.skipped,
-            len(report.divergences),
-            len(report.replayed_walls),
-            memo.hits if memo else 0,
-            memo.misses if memo else 0,
-        )
-        try:
-            _, entries = capture.read_corpus_file(path)
-        except capture.CorpusError as exc:
-            report.files += 1
-            report.divergences.append(
-                capture.Divergence(path, "-", capture.KIND_CORRUPT, str(exc))
-            )
-            rows.append({"file": path, "error": str(exc)})
-            continue
-        report.files += 1
-        for lineno, entry in entries:
-            report.entries += 1
-            capture.replay_entry(path, lineno, entry, report, memo=memo)
-        rows.append({
-            "file": path,
-            "queries": report.entries - marks[0],
-            "skipped": report.skipped - marks[1],
-            "divergences": len(report.divergences) - marks[2],
-            "replayed_wall": round(
-                sum(report.replayed_walls[marks[3]:]), 6
-            ),
-            "memo_hits": (memo.hits if memo else 0) - marks[4],
-            "memo_misses": (memo.misses if memo else 0) - marks[5],
-        })
-    print(capture.render_report(report))
-    memo_stats = memo.stats() if memo else {"hits": 0, "misses": 0}
-    print(
-        f"  query memo: "
-        f"{'disabled' if memo is None else 'enabled'}  "
-        f"hits={memo_stats['hits']} misses={memo_stats['misses']}"
-    )
-    bench_report = {
-        "queries": report.entries,
-        "files": report.files,
-        "skipped": report.skipped,
-        "divergences": len(report.divergences),
-        "replayed_wall": sum(report.replayed_walls),
-        "latency": capture.timing_percentiles(report.replayed_walls),
-        "memo": {
-            "hits": memo_stats["hits"],
-            "misses": memo_stats["misses"],
-        },
-    }
-    record = bench_history.record_from_smt_bench(
-        bench_report, context={"memo": memo is not None}
-    )
-    history = bench_history.load_history(args.against)
-    comparison = bench_history.compare(
-        record,
-        history,
-        window=args.window,
-        max_wall_growth=args.max_wall_growth,
-    )
-    print(comparison.render())
-    if args.jsonl:
-        try:
-            with open(args.jsonl, "w") as handle:
-                for row in rows:
-                    handle.write(json.dumps(row, sort_keys=True) + "\n")
-        except OSError as exc:
-            print(f"warning: cannot write jsonl: {exc}", file=sys.stderr)
-    if args.record_out:
-        try:
-            with open(args.record_out, "w") as handle:
-                json.dump(record, handle, indent=1, sort_keys=True)
-                handle.write("\n")
-        except OSError as exc:
-            print(f"warning: cannot write record: {exc}", file=sys.stderr)
-    if args.append and comparison.ok:
-        try:
-            bench_history.append_history(args.against, record)
-            print(f"; recorded into {args.against}", file=sys.stderr)
-        except OSError as exc:
-            print(f"warning: cannot append history: {exc}", file=sys.stderr)
-    kinds = report.kinds()
-    if capture.KIND_CORRUPT in kinds:
-        return 3
-    if capture.KIND_STATUS in kinds:
-        return 4
-    if capture.KIND_MODEL in kinds:
-        return 5
-    return 0 if comparison.ok else 1
+#: ``dryadsynth <name> ...`` -> handler of the remaining arguments; anything
+#: else is the single-problem command line.
+SUBCOMMANDS = {
+    "batch": _batch_main,
+    "serve": _serve_main,
+    "top": _top_main,
+    "profile": _profile_main,
+    "flame": _flame_main,
+    "postmortem": _postmortem_main,
+    "explain": _explain_main,
+    "diff": _diff_main,
+    "smt-replay": _smt_replay_main,
+}
 
 
 if __name__ == "__main__":

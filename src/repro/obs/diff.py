@@ -25,12 +25,11 @@ regression, not a collection of timers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.explain import (
     ExplainReport,
     NodeReport,
-    ancestor_attr,
     build_explain,
 )
 from repro.obs.spans import ObsEvent, Span
@@ -254,36 +253,6 @@ def problem_rollup(spans: Sequence[Span]) -> Dict[str, Dict]:
         if span.attrs.get("solved"):
             entry["solved"] = True
     return rollup
-
-
-def split_by_problem(
-    spans: Sequence[Span], events: Sequence[ObsEvent]
-) -> Dict[str, Tuple[List[Span], List[ObsEvent]]]:
-    """Partition a multi-problem stream into per-problem sub-streams.
-
-    Each span/event is assigned to the ``problem`` attr of its nearest
-    annotated ancestor (root ``synth`` spans carry it).  Spans outside any
-    problem (daemon scaffolding) are dropped.
-    """
-    by_id = {span.span_id: span for span in spans}
-    prob_of: Dict[int, Optional[str]] = {}
-    groups: Dict[str, Tuple[List[Span], List[ObsEvent]]] = {}
-
-    def group(problem: str) -> Tuple[List[Span], List[ObsEvent]]:
-        if problem not in groups:
-            groups[problem] = ([], [])
-        return groups[problem]
-
-    for span in spans:
-        problem = ancestor_attr(span.span_id, by_id, "problem")
-        prob_of[span.span_id] = problem
-        if problem:
-            group(problem)[0].append(span)
-    for event in events:
-        problem = prob_of.get(event.span_id)
-        if problem:
-            group(problem)[1].append(event)
-    return groups
 
 
 def _node_strategy(report: NodeReport) -> Optional[str]:
@@ -522,62 +491,4 @@ def render_diff(diff: DiffReport, top: int = 10) -> str:
         f"{_delta_secs(diff.attributed_delta())} of "
         f"{_delta_secs(diff.total_delta)} total"
     )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Per-problem drill-down (bench-compare --explain's node/phase attribution)
-# ---------------------------------------------------------------------------
-
-
-def problem_breakdown(
-    spans: Sequence[Span],
-    events: Sequence[ObsEvent],
-    problems: Sequence[str],
-    top: int = 3,
-) -> str:
-    """Attribute the named problems' time to phases and nodes.
-
-    Used by ``bench-compare --explain`` when only the *current* run's span
-    dump is available: the culprit problems come from the history deltas,
-    and this drill-down says where inside each culprit the time sits (top
-    phases by self wall, top subproblem nodes, frontier state for unsolved
-    nodes).
-    """
-    from repro.obs.profile import build_profile
-
-    groups = split_by_problem(spans, events)
-    lines: List[str] = []
-    for name in problems:
-        if name not in groups:
-            lines.append(f"  {name}: no spans in the dump")
-            continue
-        problem_spans, problem_events = groups[name]
-        profile = build_profile(problem_spans)
-        phases = ", ".join(
-            f"{row.name} {row.self_wall:.3f}s"
-            for row in profile.phases[:top]
-        )
-        lines.append(f"  {name}: wall {profile.total_wall:.3f}s ({phases})")
-        report = build_explain(problem_spans, problem_events)
-        hot = sorted(
-            report.nodes.values(), key=lambda n: -n.self_wall
-        )[:top]
-        for node in hot:
-            detail = [
-                f"self {node.self_wall:.3f}s",
-                _node_status(node),
-            ]
-            if node.smt_rounds:
-                detail.append(f"smt {node.smt_rounds}r")
-            strategy = _node_strategy(node)
-            if strategy:
-                detail.append(f"strategy {strategy}")
-            if node.last_rule:
-                detail.append(f"last rule {node.last_rule}")
-            if node.last_height is not None:
-                detail.append(f"height {node.last_height}")
-            lines.append(
-                f"    node {node.node_id} {node.fun}: " + ", ".join(detail)
-            )
     return "\n".join(lines)

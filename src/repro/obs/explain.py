@@ -54,9 +54,6 @@ class NodeReport:
     problems: List[str] = field(default_factory=list)
     #: Distinct enumeration heights seen (cegis.iter / graph.park events).
     heights: List[int] = field(default_factory=list)
-    #: Per-node deduction-rule tallies: rule -> [fired, failed] (the global
-    #: run-wide table is :class:`RuleRow`; this is the per-node analytics cut).
-    rule_outcomes: Dict[str, List[int]] = field(default_factory=dict)
 
     @property
     def solved(self) -> bool:
@@ -245,11 +242,6 @@ def build_explain(
                 row.delta += int(attrs["delta"])
             if report is not None:
                 report.last_rule = rule_name
-                tally = report.rule_outcomes.setdefault(rule_name, [0, 0])
-                if outcome == "fired":
-                    tally[0] += 1
-                elif outcome == "failed":
-                    tally[1] += 1
         elif event.name in (forensics.DIVIDE_CHOICE, forensics.DIVIDE_REJECT):
             if report is not None:
                 strategy = attrs.get("strategy")

@@ -51,8 +51,8 @@ def dump_spans_jsonl(recorder: SpanRecorder, handle: TextIO) -> None:
 def read_jsonl_tolerant(path: str) -> List[Dict]:
     """Read a JSONL file whose *final* line may be torn mid-write.
 
-    The shared contract for every append-only store in the repo (span
-    dumps, ``BENCH_history.jsonl``, the per-node analytics store): a writer
+    The torn-tail contract of the repo's append-only stores (span dumps
+    here; the sampler's ``.collapsed`` reader follows it too): a writer
     killed mid-append (SIGKILL, hard deadline, power loss) leaves a
     truncated trailing line behind, and that torn tail — including one cut
     in the middle of a multi-byte UTF-8 character, which a text-mode read

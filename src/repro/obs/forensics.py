@@ -78,8 +78,8 @@ def iter_events(events: Iterable, *names: str) -> Iterator:
     """Yield the forensics-domain events of a stream, oldest first.
 
     ``names`` optionally restricts the yield to specific event names.  Every
-    consumer of the event stream (``explain``, ``diff``, the analytics
-    folder) needs the same domain filter; sharing it here keeps them from
+    consumer of the event stream (``explain``, ``diff``) needs the same
+    domain filter; sharing it here keeps them from
     drifting on what counts as a forensics record.
     """
     wanted = frozenset(names) if names else None

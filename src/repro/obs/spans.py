@@ -64,9 +64,9 @@ class Span:
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "name": self.name,
-            "start": round(self.start, 6),
-            "wall": round(self.wall, 6),
-            "cpu": round(self.cpu, 6),
+            "start": self.start,
+            "wall": self.wall,
+            "cpu": self.cpu,
             "attrs": self.attrs,
             "status": self.status,
             "pid": self.pid,
@@ -100,7 +100,7 @@ class ObsEvent:
     def to_json(self) -> Dict:
         return {
             "name": self.name,
-            "elapsed": round(self.elapsed, 6),
+            "elapsed": self.elapsed,
             "attrs": self.attrs,
             "domain": self.domain,
             "span_id": self.span_id,
@@ -421,10 +421,8 @@ class SpanRecorder:
                     pid=span.pid,
                 )
             )
-        for event in child_events:
-            if len(self.events) >= self.max_spans:
-                self._drop()
-                break
+        kept = child_events[: max(0, self.max_spans - len(self.events))]
+        for event in kept:
             self.events.append(
                 ObsEvent(
                     name=event.name,
@@ -434,7 +432,9 @@ class SpanRecorder:
                     span_id=id_map.get(event.span_id, root_id),
                 )
             )
-        self._drop(int(data.get("dropped", 0)))
+        self._drop(
+            len(child_events) - len(kept) + int(data.get("dropped", 0))
+        )
         self._finish(
             Span(
                 span_id=root_id,

@@ -20,8 +20,8 @@ Modules:
   the admission/dispatch/drain state machine;
 - :mod:`repro.serve.http` — the ``/v1`` API mounted on the telemetry
   server (one listener also serves ``/metrics``, ``/jobs``, ``/healthz``);
-- :mod:`repro.serve.loadgen` — the concurrent-client load generator whose
-  p50/p99 submit-to-result latency feeds ``bench-compare``.
+- :mod:`repro.serve.loadgen` — the concurrent-client load generator that
+  measures p50/p99 submit-to-result latency.
 
 See docs/SERVICE.md ("Running the daemon") for endpoints and semantics.
 """

@@ -15,9 +15,8 @@ client-side and server-side percentiles are directly comparable and an
 arbitrarily long run never accumulates a raw sample list.  Each record
 carries the ``trace_id`` the daemon minted, joining the client's view to
 the admission audit log, ``/v1/stats`` and the span tree.  Cache-hit and
-shed counts and the solved set ride along — which ``dryadsynth
-bench-compare`` checks against the batch baseline and the trailing latency
-history in ``BENCH_history.jsonl``.
+shed counts and the solved set ride along, so a caller can assert on them
+(the CI serve smoke job requires zero errors and at least one cache hit).
 
 Also importable (:func:`run_loadgen`) so the daemon tests and the CI smoke
 job can drive an in-process server without spawning a second Python.
@@ -262,8 +261,8 @@ def _report(records: List[Dict], clients: int, wall: float,
 
 
 def demo_problems(limit: Optional[int] = None) -> List[Tuple[str, str]]:
-    """The quick-bench demo subset as (name, SyGuS text) pairs."""
-    from repro.bench.quick_bench import demo_subset
+    """The 85-problem demo subset as (name, SyGuS text) pairs."""
+    from repro.bench.suite import demo_subset
     from repro.sygus.serializer import problem_to_sygus
 
     pairs = []

@@ -341,8 +341,8 @@ def replay_entry(
 
     ``memo`` (a :class:`repro.smt.memo.QueryMemo`) is shared across the
     replay's fresh solvers; ``None`` — the default, and what ``smt-replay``
-    uses — forces true re-execution of every query.  ``smt-bench`` passes a
-    shared memo to measure the memoized solve path: duplicate decided
+    uses — forces true re-execution of every query.  Pass one shared memo
+    to measure the memoized solve path instead: duplicate decided
     queries answer from cache, and the divergence checks still apply to the
     answers the caller would have observed.
     """

@@ -140,6 +140,8 @@ def subterm_splits(problem: SygusProblem, config: SynthConfig) -> List[Split]:
             _reject(problem, "subterm", "aux-params-exceed")
             continue
         aux_name = f"aux{index}!{problem.fun_name}"
+        while aux_name in grammar.interpreted:  # a Type-B problem's own aux
+            aux_name = f"aux{index}!{aux_name}"
         aux_grammar = Grammar(
             dict(grammar.nonterminals),
             grammar.start,

@@ -5,8 +5,10 @@ from collections import Counter
 import pytest
 
 from repro.bench.suite import (
+    EXCLUDED,
     Benchmark,
     clia_benchmarks,
+    demo_subset,
     find_benchmark,
     full_suite,
     general_benchmarks,
@@ -39,6 +41,14 @@ class TestSuiteShape:
         assert bench.track == "CLIA"
         with pytest.raises(KeyError):
             find_benchmark("nope")
+
+
+class TestDemoSubset:
+    def test_demo_subset_is_85_problems(self):
+        subset = demo_subset()
+        assert len(subset) == 85
+        names = {b.name for b in subset}
+        assert names.isdisjoint(EXCLUDED)
 
 
 class TestProblemConstruction:

@@ -4,13 +4,7 @@ import pytest
 
 from repro import obs
 from repro.bench.runner import make_solver
-from repro.obs.diff import (
-    build_diff,
-    problem_breakdown,
-    problem_rollup,
-    render_diff,
-    split_by_problem,
-)
+from repro.obs.diff import build_diff, problem_rollup, render_diff
 from repro.obs.spans import ObsEvent, Span
 from repro.sygus.parser import parse_sygus_text
 
@@ -225,36 +219,15 @@ class TestProblemTools:
                  attrs={"problem": "p2", "solved": False, "node": "bbb"}),
             Span(4, None, "scaffold", 0.0, wall=0.1, attrs={}),
         ]
-        events = [
-            ObsEvent("graph.node", 0.0, {"node": "aaa", "fun": "f",
-                                         "depth": 0}, "forensics", 1),
-            ObsEvent("graph.node", 1.0, {"node": "bbb", "fun": "g",
-                                         "depth": 0}, "forensics", 3),
-        ]
-        return spans, events
+        return spans
 
     def test_problem_rollup_groups_roots(self):
-        spans, _ = self._multi_problem_stream()
+        spans = self._multi_problem_stream()
         rollup = problem_rollup(spans)
         assert rollup["p1"]["wall"] == pytest.approx(1.0)
         assert rollup["p1"]["solved"] is True
         assert rollup["p2"]["solved"] is False
         assert "scaffold" not in rollup
-
-    def test_split_by_problem_partitions_streams(self):
-        spans, events = self._multi_problem_stream()
-        groups = split_by_problem(spans, events)
-        assert set(groups) == {"p1", "p2"}
-        p1_spans, p1_events = groups["p1"]
-        assert [s.span_id for s in p1_spans] == [1, 2]
-        assert [e.attrs["node"] for e in p1_events] == ["aaa"]
-
-    def test_problem_breakdown_names_phases_and_nodes(self):
-        spans, events = self._multi_problem_stream()
-        text = problem_breakdown(spans, events, ["p2", "absent"])
-        assert "p2: wall 2.000s" in text
-        assert "node bbb g" in text
-        assert "absent: no spans in the dump" in text
 
 
 class TestCommittedDumps:

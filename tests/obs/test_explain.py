@@ -52,6 +52,10 @@ class TestAttribution:
         assert source.smt_calls > 0
         assert source.smt_rounds > 0
 
+    def test_source_node_lists_its_problem(self, solved_report):
+        source = solved_report.nodes[solved_report.roots[0]]
+        assert source.problems == ["max2"]
+
     def test_rule_table_is_populated(self, solved_report):
         rules = {row.rule for row in solved_report.rules}
         assert rules & {"ge-max", "ge-min", "le-max", "eq"}
@@ -68,7 +72,7 @@ class TestFailureFrontier:
     def test_timed_out_run_reports_frontier(self):
         """Acceptance: a timed-out problem names the last division strategy
         and deduction rule on a non-empty failure frontier."""
-        from repro.bench.quick_bench import demo_subset
+        from repro.bench.suite import demo_subset
 
         # qm-max3's restricted grammar defeats direct deduction; the
         # cooperative loop divides and enumerates well past this budget.

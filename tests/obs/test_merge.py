@@ -89,6 +89,19 @@ class TestMergeSerialized:
         parent.merge_serialized(payload, wall=1000.0)
         assert parent.dropped == 3
 
+    def test_events_past_the_cap_are_all_counted(self):
+        payload = {
+            "events": [
+                {"name": f"e{i}", "elapsed": 0.0, "attrs": {}}
+                for i in range(10)
+            ]
+        }
+        parent = SpanRecorder(max_spans=3)
+        parent.merge_serialized(payload, wall=1000.0)
+        assert len(parent.events) == 3
+        assert parent.dropped == 7
+        assert parent.metrics.counter("obs.spans_dropped").value == 7
+
 
 class TestMergeJobTelemetry:
     def test_merges_spans_and_metrics_into_ambient(self):

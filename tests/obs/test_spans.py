@@ -1,9 +1,11 @@
 """Span recorder semantics: nesting, exception safety, typing, no-op mode."""
 
+import json
+
 import pytest
 
 from repro import obs
-from repro.obs.spans import NULL_SPAN, Span, SpanRecorder
+from repro.obs.spans import NULL_SPAN, ObsEvent, Span, SpanRecorder
 
 
 class TestNesting:
@@ -126,6 +128,17 @@ class TestAttributeTyping:
         span = Span.from_json(recorder.spans[0].to_json())
         assert span.attrs["height"] == 2
         assert isinstance(span.attrs["obj"], str)
+
+    def test_times_json_round_trip_exactly(self):
+        # A dump must reproduce the in-memory report to the last rendered
+        # digit, so no timing may be rounded on the way out.
+        span = Span(1, None, "s", start=0.1234564999, wall=0.0000004,
+                    cpu=1 / 3)
+        event = ObsEvent("e", elapsed=2 / 3, attrs={}, span_id=1)
+        assert Span.from_json(json.loads(json.dumps(span.to_json()))) == span
+        assert ObsEvent.from_json(
+            json.loads(json.dumps(event.to_json()))
+        ) == event
 
 
 class TestDisabledMode:

@@ -1,22 +1,19 @@
-"""One torn-tail tolerance contract, four append-only stores.
+"""One torn-tail tolerance contract, two append-only stores.
 
-Every append-only store in the repo — span dumps, ``BENCH_history.jsonl``,
-``BENCH_analytics.jsonl``, and the sampler's ``.collapsed`` export — shares
-the same recovery contract: a writer killed mid-append (SIGKILL, hard
-deadline, power loss) leaves a truncated final line, possibly torn in the
-middle of a multi-byte UTF-8 character, and the reader must drop exactly
-that line while recovering every complete record before it.  A corrupt
-*interior* line still raises, because that means damage, not an
-interrupted append.  This test drives all four loaders through one
-parametrized harness so the contract cannot drift per store.
+Span dumps and the sampler's ``.collapsed`` export share the same recovery
+contract: a writer killed mid-append (SIGKILL, hard deadline, power loss)
+leaves a truncated final line, possibly torn in the middle of a multi-byte
+UTF-8 character, and the reader must drop exactly that line while
+recovering every complete record before it.  A corrupt *interior* line
+still raises, because that means damage, not an interrupted append.  This
+test drives both loaders through one parametrized harness so the contract
+cannot drift per store.
 """
 
 import json
 
 import pytest
 
-from repro.bench.analytics import ANALYTICS_FORMAT, load_analytics
-from repro.bench.history import HISTORY_FORMAT, load_history
 from repro.obs.export import read_jsonl_tolerant
 from repro.obs.sampler import load_collapsed
 
@@ -30,20 +27,6 @@ def _jsonl_record(index):
     )
 
 
-def _history_record(index):
-    return json.dumps(
-        {"format": HISTORY_FORMAT, "solved": index, "suite": f"café-{index}"},
-        ensure_ascii=False,
-    )
-
-
-def _analytics_record(index):
-    return json.dumps(
-        {"format": ANALYTICS_FORMAT, "nodes": [], "solver": f"café-{index}"},
-        ensure_ascii=False,
-    )
-
-
 def _collapsed_record(index):
     return f"repro/a.py:main;repro/b.py:solvé_{index} {index + 1}"
 
@@ -54,13 +37,6 @@ def _load_spans_store(path):
 
 STORES = [
     pytest.param("spans.jsonl", _jsonl_record, _load_spans_store, id="spans"),
-    pytest.param(
-        "BENCH_history.jsonl", _history_record, load_history, id="history"
-    ),
-    pytest.param(
-        "BENCH_analytics.jsonl", _analytics_record, load_analytics,
-        id="analytics",
-    ),
     pytest.param(
         "profile.collapsed",
         _collapsed_record,

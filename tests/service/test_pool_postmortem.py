@@ -143,7 +143,7 @@ class TestDeadlineKilledSolverFrontier:
     whose forensics frontier names the last active subproblem-graph node."""
 
     def test_postmortem_names_last_graph_node(self, tmp_path):
-        from repro.bench.quick_bench import demo_subset
+        from repro.bench.suite import demo_subset
         from repro.sygus.serializer import problem_to_sygus
 
         bench = next(b for b in demo_subset() if b.name == "qm-max3")

@@ -163,3 +163,27 @@ class TestDivergences:
 
         assert main(["smt-replay", str(tmp_path / "nowhere")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestSharedMemoReplay:
+    def test_repeated_query_answers_from_the_shared_memo(self, tmp_path):
+        """One QueryMemo over every fresh replay solver: a query repeated
+        across two corpus files answers from the memo, and the answer is
+        still checked against the captured status and model."""
+        from repro.lang import add, and_, ge, int_var, le
+        from repro.smt import SmtSolver
+        from repro.smt.memo import QueryMemo
+
+        x, y = int_var("x"), int_var("y")
+        directory = str(tmp_path / "corpus")
+        for name in ("alpha", "beta"):
+            with capture.capturing(directory, name):
+                solver = SmtSolver()
+                solver.add(and_(ge(add(x, y), 5), le(x, 3), le(y, 4)))
+                assert solver.solve().model is not None
+        memo = QueryMemo()
+        report = capture.replay_corpus(directory, memo=memo)
+        assert report.files == 2
+        assert report.entries == 2
+        assert report.divergences == []
+        assert memo.hits >= 1

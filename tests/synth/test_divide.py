@@ -96,6 +96,47 @@ class TestSubtermSplits:
         assert not contains_app(final, aux_name)
         assert problem.synth_fun.grammar.generates(final)
 
+    def test_dividing_a_type_b_problem_picks_a_fresh_aux_name(self):
+        """A Type-B problem keeps its parent's fun name and already
+        interprets the parent's aux.  Dividing it again must not reuse that
+        name: the new aux would replace the old one in the grammar, call
+        itself, and never inline."""
+        from repro.lang import apply_fn
+        from repro.sygus.grammar import expand_interpreted
+
+        problem = _max3_qm_problem()
+        first_names = [
+            s.subproblem.fun_name
+            for s in subterm_splits(problem, SynthConfig())
+        ]
+        assert first_names == [f"aux{i}!f" for i in range(len(first_names))]
+        inner = ite(ge(y, z), y, z)
+        split = next(
+            s for s in subterm_splits(problem, SynthConfig())
+            if s.subproblem.spec.args[1] is inner
+        )
+        p1, p2 = split.subproblem.synth_fun.params
+        first_aux = split.subproblem.fun_name
+        type_b = split.resolve(
+            add(p1, apply_fn("qm", (sub(p2, p1), 0), INT))
+        )[1]
+        interpreted = type_b.synth_fun.grammar.interpreted
+        assert first_aux in interpreted
+        resplits = subterm_splits(type_b, SynthConfig())
+        assert len(resplits) == len(first_names)
+        for again in resplits:
+            name = again.subproblem.fun_name
+            assert name not in interpreted
+            # Solve the new aux by calling the old one: the chain inlines.
+            again_b = again.resolve(apply_fn(first_aux, (y, z), INT))[1]
+            params = again.subproblem.synth_fun.params
+            expanded = expand_interpreted(
+                apply_fn(name, params, INT),
+                again_b.synth_fun.grammar.interpreted,
+            )
+            assert not contains_app(expanded, name)
+            assert not contains_app(expanded, first_aux)
+
 
 class TestFixedTermSplits:
     def test_candidates_from_compared_terms(self):

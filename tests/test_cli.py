@@ -434,140 +434,9 @@ class TestPostmortemCli:
         assert "error" in capsys.readouterr().err
 
 
-class TestBenchCompareCli:
-    def _write_artifacts(self, directory, walls):
-        """Fake quick-bench artifacts: {name: wall or None (=unsolved)}."""
-        import json
-
-        directory.mkdir(parents=True, exist_ok=True)
-        records = []
-        for name, wall in walls.items():
-            solved = wall is not None
-            records.append({
-                "benchmark": name, "solver": "dryadsynth", "solved": solved,
-                "wall_seconds": wall if solved else 2.0, "smt_rounds": 4,
-            })
-        with open(directory / "quick_bench.jsonl", "w") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-        summary = {
-            "solver": "dryadsynth", "timeout_seconds": 2.0,
-            "problems": len(records),
-            "solved": sum(1 for r in records if r["solved"]),
-            "wall_seconds": sum(r["wall_seconds"] for r in records),
-            "stats": {"smt_rounds": 4 * len(records)},
-        }
-        with open(directory / "quick_bench_summary.json", "w") as handle:
-            json.dump(summary, handle)
-        return directory
-
-    def test_pass_append_then_seeded_regression_fails(self, tmp_path,
-                                                      capsys):
-        history = tmp_path / "history.jsonl"
-        good = self._write_artifacts(
-            tmp_path / "good", {"max2": 0.1, "sum3": 0.2}
-        )
-        assert main(["bench-compare", "--from-dir", str(good),
-                     "--against", str(history), "--append"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert history.exists()
-        # Seeded synthetic regression: sum3 no longer solves.
-        bad = self._write_artifacts(
-            tmp_path / "bad", {"max2": 0.1, "sum3": None}
-        )
-        assert main(["bench-compare", "--from-dir", str(bad),
-                     "--against", str(history)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "sum3" in out
-
-    def _write_loadgen_report(self, path, p99):
-        import json
-
-        report = {
-            "clients": 8, "requests": 16, "completed": 16, "shed": 0,
-            "errors": 0, "cache_hits": 8, "rejected_retries": 0,
-            "wall_seconds": 4.0,
-            "latency": {"p50": p99 / 2, "p90": p99 * 0.9, "p99": p99},
-            "solved": ["max2", "sum3"], "records": [],
-        }
-        with open(path, "w") as handle:
-            json.dump(report, handle)
-        return path
-
-    def test_serve_latency_gate_from_loadgen_report(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        fast = self._write_loadgen_report(tmp_path / "fast.json", p99=0.5)
-        assert main(["bench-compare", "--from-loadgen", str(fast),
-                     "--against", str(history), "--append"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        slow = self._write_loadgen_report(tmp_path / "slow.json", p99=2.0)
-        assert main(["bench-compare", "--from-loadgen", str(slow),
-                     "--against", str(history)]) == 1
-        out = capsys.readouterr().out
-        assert "latency" in out
-        # A looser budget lets the same report pass.
-        assert main(["bench-compare", "--from-loadgen", str(slow),
-                     "--against", str(history),
-                     "--max-latency-growth", "5.0"]) == 0
-
-    def test_wall_regression_detected(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        fast = self._write_artifacts(
-            tmp_path / "fast", {"max2": 0.1, "sum3": 0.2}
-        )
-        assert main(["bench-compare", "--from-dir", str(fast),
-                     "--against", str(history), "--append"]) == 0
-        slow = self._write_artifacts(
-            tmp_path / "slow", {"max2": 0.2, "sum3": 0.4}
-        )
-        capsys.readouterr()
-        assert main(["bench-compare", "--from-dir", str(slow),
-                     "--against", str(history)]) == 1
-        assert "median wall growth" in capsys.readouterr().out
-        # A looser budget lets the same run through.
-        assert main(["bench-compare", "--from-dir", str(slow),
-                     "--against", str(history),
-                     "--max-wall-growth", "1.5"]) == 0
-
-    def test_record_out_artifact(self, tmp_path, capsys):
-        import json
-
-        good = self._write_artifacts(tmp_path / "good", {"max2": 0.1})
-        record_path = tmp_path / "record.json"
-        assert main(["bench-compare", "--from-dir", str(good),
-                     "--against", str(tmp_path / "history.jsonl"),
-                     "--record-out", str(record_path)]) == 0
-        record = json.loads(record_path.read_text())
-        assert record["format"] == "repro-bench-history/1"
-        assert record["solved"] == ["max2"]
-
-    def test_failed_run_is_not_appended(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        good = self._write_artifacts(
-            tmp_path / "good", {"max2": 0.1, "sum3": 0.2}
-        )
-        assert main(["bench-compare", "--from-dir", str(good),
-                     "--against", str(history), "--append"]) == 0
-        size = history.stat().st_size
-        bad = self._write_artifacts(tmp_path / "bad", {"max2": 0.1,
-                                                       "sum3": None})
-        assert main(["bench-compare", "--from-dir", str(bad),
-                     "--against", str(history), "--append"]) == 1
-        assert history.stat().st_size == size  # regression not recorded
-
-    def test_missing_artifacts_error(self, tmp_path, capsys):
-        code = main(["bench-compare", "--from-dir", str(tmp_path / "nope"),
-                     "--against", str(tmp_path / "history.jsonl")])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
-
 @pytest.fixture(scope="module")
 def two_span_dumps(tmp_path_factory):
-    """Two span dumps of the same real problem (for diff/history CLIs)."""
+    """Two span dumps of the same real problem (for the diff CLI)."""
     directory = tmp_path_factory.mktemp("dumps")
     path = directory / "max2.sl"
     path.write_text(MAX2_SL)
@@ -605,87 +474,3 @@ class TestDiffCli:
     def test_missing_file_errors(self, two_span_dumps, capsys):
         assert main(["diff", two_span_dumps[0], "/nope.jsonl"]) == 2
         assert "error" in capsys.readouterr().err
-
-
-class TestHistoryCli:
-    def test_from_spans_append_then_query(self, two_span_dumps, tmp_path,
-                                          capsys):
-        store = str(tmp_path / "analytics.jsonl")
-        for dump in two_span_dumps:
-            assert main(["history", "--store", store,
-                         "--from-spans", dump, "--append"]) == 0
-        out = capsys.readouterr().out
-        assert "2 run record(s)" in out  # store-wide summary after append
-        # Recover a real node id from the store and query it.
-        from repro.bench.analytics import load_analytics
-
-        node_id = next(iter(load_analytics(store)[0]["nodes"]))
-        assert main(["history", node_id, "--store", store]) == 0
-        out = capsys.readouterr().out
-        assert "runs: 2" in out
-
-    def test_unknown_node_exits_one(self, tmp_path, capsys):
-        store = str(tmp_path / "analytics.jsonl")
-        assert main(["history", "feedfeedfeed", "--store", store]) == 1
-        assert "no analytics records" in capsys.readouterr().out
-
-    def test_empty_store_summary(self, tmp_path, capsys):
-        assert main(["history", "--store",
-                     str(tmp_path / "absent.jsonl")]) == 0
-        assert "empty" in capsys.readouterr().out
-
-
-class TestBenchCompareExplain:
-    _write_artifacts = TestBenchCompareCli._write_artifacts
-
-    def test_forced_regression_names_the_slower_problems(self, tmp_path,
-                                                         capsys):
-        """Acceptance: a forced wall regression makes --explain name the
-        genuinely-slower problems (and only those)."""
-        history = tmp_path / "history.jsonl"
-        fast = self._write_artifacts(
-            tmp_path / "fast", {"max2": 0.1, "sum3": 0.2, "ite4": 0.3}
-        )
-        assert main(["bench-compare", "--from-dir", str(fast),
-                     "--against", str(history), "--append"]) == 0
-        capsys.readouterr()
-        # Only sum3 and ite4 regress; max2 holds steady.
-        slow = self._write_artifacts(
-            tmp_path / "slow", {"max2": 0.1, "sum3": 0.5, "ite4": 0.6}
-        )
-        assert main(["bench-compare", "--from-dir", str(slow),
-                     "--against", str(history), "--explain"]) == 1
-        out = capsys.readouterr().out
-        assert "regression attribution:" in out
-        assert "sum3: 0.200s -> 0.500s" in out
-        assert "ite4: 0.300s -> 0.600s" in out
-        assert "max2:" not in out.split("regression attribution:")[1]
-        # No span dump in the artifacts dir: the drill-down says how to
-        # get one instead of failing.
-        assert "no span dump available" in out
-
-    def test_explain_silent_on_pass(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        good = self._write_artifacts(tmp_path / "good", {"max2": 0.1})
-        assert main(["bench-compare", "--from-dir", str(good),
-                     "--against", str(history), "--append",
-                     "--explain"]) == 0
-        assert main(["bench-compare", "--from-dir", str(good),
-                     "--against", str(history), "--explain"]) == 0
-        assert "regression attribution" not in capsys.readouterr().out
-
-    def test_solved_set_loss_attributed(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        good = self._write_artifacts(
-            tmp_path / "good", {"max2": 0.1, "sum3": 0.2}
-        )
-        assert main(["bench-compare", "--from-dir", str(good),
-                     "--against", str(history), "--append"]) == 0
-        bad = self._write_artifacts(
-            tmp_path / "bad", {"max2": 0.1, "sum3": None}
-        )
-        capsys.readouterr()
-        assert main(["bench-compare", "--from-dir", str(bad),
-                     "--against", str(history), "--explain"]) == 1
-        out = capsys.readouterr().out
-        assert "solved-set loss (1): sum3" in out
