@@ -160,10 +160,13 @@ def _write_telemetry(recorder, args) -> None:
         except OSError as exc:
             print(f"warning: cannot write metrics: {exc}", file=sys.stderr)
     if getattr(args, "trace_chrome", None):
-        from repro.obs.chrome import write_recorder_trace
+        from repro.obs.chrome import write_trace_chrome
 
         try:
-            write_recorder_trace(recorder, args.trace_chrome)
+            write_trace_chrome(
+                args.trace_chrome, recorder.spans, events=recorder.events,
+                truncated=recorder.truncated,
+            )
         except OSError as exc:
             print(f"warning: cannot write trace: {exc}", file=sys.stderr)
     if recorder.truncated:
@@ -566,7 +569,8 @@ def build_postmortem_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=25,
         metavar="K",
-        help="spans/events from the end of the ring to show (default: 25)",
+        help="spans/events from the end of the ring to show; 0 shows none "
+        "(default: 25)",
     )
     parser.add_argument(
         "--json",
@@ -579,7 +583,10 @@ def build_postmortem_arg_parser() -> argparse.ArgumentParser:
 def _postmortem_main(argv) -> int:
     from repro.obs.flight import read_postmortem, render_postmortem
 
-    args = build_postmortem_arg_parser().parse_args(argv)
+    parser = build_postmortem_arg_parser()
+    args = parser.parse_args(argv)
+    if args.tail < 0:
+        parser.error("--tail must be >= 0")
     try:
         postmortem = read_postmortem(args.journal, tail=args.tail)
     except OSError as exc:

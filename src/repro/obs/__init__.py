@@ -3,23 +3,27 @@
 Six layers (see ``docs/OBSERVABILITY.md``):
 
 - **Spans** (:mod:`repro.obs.spans`): hierarchical timed regions with typed
-  attributes, from the cooperative loop down to individual SMT queries.
+  attributes, from the cooperative loop down to individual SMT queries,
+  and :class:`~repro.obs.spans.SpanTree`, the one parent/child index whose
+  self-time partition every report below attributes.
 - **Metrics** (:mod:`repro.obs.metrics`): named counters/gauges/histograms
   with mergeable snapshots — the cross-process aggregation format.
-- **Exports** (:mod:`repro.obs.export`, :mod:`repro.obs.profile`): JSONL
-  span sink, Prometheus text dump, and the ``dryadsynth profile``
-  time-attribution report.  On top of the dumps sit the forensics
-  reports: ``dryadsynth explain`` (:mod:`repro.obs.explain`) for one run
-  and ``dryadsynth diff`` (:mod:`repro.obs.diff`) for run-over-run
-  regression attribution.
+- **Exports** (:mod:`repro.obs.export`, :mod:`repro.obs.profile`,
+  :mod:`repro.obs.chrome`): the one on-disk span format
+  (``repro-spans/1`` JSONL, read through one torn-tail line scanner),
+  Prometheus text, Chrome traces and the ``dryadsynth profile`` report.
+  On top of the dumps sit the forensics reports: ``dryadsynth explain``
+  (:mod:`repro.obs.explain`) for one run and ``dryadsynth diff``
+  (:mod:`repro.obs.diff`) for run-over-run regression attribution.
 - **Structured logging** (:mod:`repro.obs.log`): JSON-lines service log
   with job/problem correlation IDs (``--log-json``).
 - **Live telemetry** (:mod:`repro.obs.live`): an in-process HTTP endpoint
   serving ``/metrics``, ``/healthz`` and ``/jobs`` while a batch runs
   (``dryadsynth batch --serve-telemetry PORT``).
-- **Flight recorder** (:mod:`repro.obs.flight`): a crash-resistant journal
-  of recent telemetry, recovered as ``JobResult.postmortem`` when a worker
-  dies (``dryadsynth postmortem <journal>``).
+- **Flight recorder** (:mod:`repro.obs.flight`): a crash-resistant span
+  dump of recent telemetry, recovered as ``JobResult.postmortem`` when a
+  worker dies (``dryadsynth postmortem <journal>``); ``explain`` and
+  ``profile`` read it like any other dump.
 
 Recording is **disabled by default**.  Instrumented modules call the
 ambient helpers in this module (:func:`span`, :func:`event`,

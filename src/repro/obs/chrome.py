@@ -21,9 +21,9 @@ The mapping is deliberately lossless where it matters for reading a trace:
 from __future__ import annotations
 
 import json
-from typing import IO, Dict, Sequence
+from typing import Dict, Sequence
 
-from repro.obs.spans import ObsEvent, Span, SpanRecorder
+from repro.obs.spans import ObsEvent, Span
 
 #: Trace-event time unit is microseconds.
 _US = 1_000_000.0
@@ -88,16 +88,6 @@ def build_trace(
     }
 
 
-def dump_trace(
-    spans: Sequence[Span],
-    handle: IO[str],
-    events: Sequence[ObsEvent] = (),
-    truncated: bool = False,
-) -> None:
-    json.dump(build_trace(spans, events, truncated=truncated), handle)
-    handle.write("\n")
-
-
 def write_trace_chrome(
     path: str,
     spans: Sequence[Span],
@@ -106,14 +96,5 @@ def write_trace_chrome(
 ) -> None:
     """Write a Chrome trace file from spans/events."""
     with open(path, "w") as handle:
-        dump_trace(spans, handle, events=events, truncated=truncated)
-
-
-def write_recorder_trace(recorder: SpanRecorder, path: str) -> None:
-    """Write a finished recorder's stream as a Chrome trace file."""
-    write_trace_chrome(
-        path,
-        recorder.spans,
-        events=recorder.events,
-        truncated=recorder.truncated,
-    )
+        json.dump(build_trace(spans, events, truncated=truncated), handle)
+        handle.write("\n")

@@ -32,7 +32,7 @@ from repro.obs.explain import (
     NodeReport,
     build_explain,
 )
-from repro.obs.spans import ObsEvent, Span
+from repro.obs.spans import ObsEvent, Span, SpanTree
 
 
 @dataclass
@@ -47,14 +47,10 @@ class NodeDelta:
     self_b: float = 0.0
     smt_rounds_a: int = 0
     smt_rounds_b: int = 0
-    cegis_iters_a: int = 0
-    cegis_iters_b: int = 0
     status_a: Optional[str] = None  # solved_how | "unsolved" | None (absent)
     status_b: Optional[str] = None
     strategy_a: Optional[str] = None  # last division strategy seen on node
     strategy_b: Optional[str] = None
-    heights_a: List[int] = field(default_factory=list)
-    heights_b: List[int] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
 
     @property
@@ -237,11 +233,8 @@ def problem_rollup(spans: Sequence[Span]) -> Dict[str, Dict]:
     are skipped — the problem table is informational; the exact-partition
     invariant lives on the node table.
     """
-    by_id = {span.span_id: span for span in spans}
     rollup: Dict[str, Dict] = {}
-    for span in spans:
-        if span.parent_id is not None and span.parent_id in by_id:
-            continue  # not a root
+    for span in SpanTree(spans).roots:
         problem = span.attrs.get("problem")
         if not isinstance(problem, str) or not problem:
             continue
@@ -290,10 +283,8 @@ def build_diff(
             delta.fun = a.fun
             delta.self_a = a.self_wall
             delta.smt_rounds_a = a.smt_rounds
-            delta.cegis_iters_a = a.cegis_iters
             delta.status_a = _node_status(a)
             delta.strategy_a = _node_strategy(a)
-            delta.heights_a = list(a.heights)
             delta.problems = list(a.problems)
         if b is not None:
             delta.present_b = True
@@ -301,10 +292,8 @@ def build_diff(
                 delta.fun = b.fun
             delta.self_b = b.self_wall
             delta.smt_rounds_b = b.smt_rounds
-            delta.cegis_iters_b = b.cegis_iters
             delta.status_b = _node_status(b)
             delta.strategy_b = _node_strategy(b)
-            delta.heights_b = list(b.heights)
             for problem in b.problems:
                 if problem not in delta.problems:
                     delta.problems.append(problem)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import forensics
-from repro.obs.spans import ObsEvent, Span
+from repro.obs.spans import ObsEvent, Span, SpanTree
 
 #: Bucket for self time outside any node-attributed span (parsing, queue
 #: bookkeeping, result assembly).
@@ -52,8 +52,6 @@ class NodeReport:
     #: Problems (root ``synth`` spans) this node was worked under — node IDs
     #: are problem-independent, so a shared subproblem can list several.
     problems: List[str] = field(default_factory=list)
-    #: Distinct enumeration heights seen (cegis.iter / graph.park events).
-    heights: List[int] = field(default_factory=list)
 
     @property
     def solved(self) -> bool:
@@ -62,14 +60,6 @@ class NodeReport:
     def note_problem(self, problem: Optional[str]) -> None:
         if problem and problem not in self.problems:
             self.problems.append(problem)
-
-    def note_height(self, height) -> None:
-        if height is None:
-            return
-        height = int(height)
-        if height not in self.heights:
-            self.heights.append(height)
-            self.heights.sort()
 
 
 @dataclass
@@ -116,28 +106,6 @@ class ExplainReport:
         return self.run_self_wall + sum(n.self_wall for n in self.nodes.values())
 
 
-def ancestor_attr(
-    span_id: Optional[int], by_id: Dict[int, Span], key: str
-) -> Optional[str]:
-    """The ``key`` attr of the nearest enclosing span, walking ancestors."""
-    seen = set()
-    current = span_id
-    while current is not None and current not in seen:
-        seen.add(current)
-        span = by_id.get(current)
-        if span is None:
-            return None
-        value = span.attrs.get(key)
-        if isinstance(value, str) and value:
-            return value
-        current = span.parent_id
-    return None
-
-
-def _node_of_span(span_id: Optional[int], by_id: Dict[int, Span]) -> Optional[str]:
-    return ancestor_attr(span_id, by_id, "node")
-
-
 def build_explain(
     spans: Sequence[Span],
     events: Sequence[ObsEvent],
@@ -178,7 +146,6 @@ def build_explain(
             report.parked += 1
             if attrs.get("height") is not None:
                 report.last_height = int(attrs["height"])
-                report.note_height(attrs["height"])
 
     # Parent/child links (preserving event order for stable rendering).
     for node_id in order:
@@ -188,33 +155,24 @@ def build_explain(
     roots = [n for n in order if nodes[n].parent is None]
 
     # -- Span attribution: self time to nearest node-attributed ancestor -----
-    by_id: Dict[int, Span] = {span.span_id: span for span in spans}
-    child_wall: Dict[int, float] = {}
+    tree = SpanTree(spans)
+    owners = {span.span_id: tree.nearest_attr(span.span_id, "node")
+              for span in spans}
+    by_owner = tree.attribute(lambda span: owners[span.span_id])
+    run_self = by_owner.pop(None, 0.0)
+    for owner, self_wall in by_owner.items():
+        node(owner).self_wall = self_wall
     for span in spans:
-        if span.parent_id is not None and span.parent_id in by_id:
-            child_wall[span.parent_id] = (
-                child_wall.get(span.parent_id, 0.0) + span.wall
-            )
-    total_wall = 0.0
-    run_self = 0.0
-    for span in spans:
-        if span.parent_id is None or span.parent_id not in by_id:
-            total_wall += span.wall
-        self_wall = max(0.0, span.wall - child_wall.get(span.span_id, 0.0))
-        owner = _node_of_span(span.span_id, by_id)
+        owner = owners[span.span_id]
         if owner is None:
-            run_self += self_wall
-        else:
-            report = node(owner)
-            report.self_wall += self_wall
-            report.note_problem(ancestor_attr(span.span_id, by_id, "problem"))
+            continue
+        report = nodes[owner]
+        report.note_problem(tree.nearest_attr(span.span_id, "problem"))
         if span.name == "smt.solve":
-            target = node(owner) if owner is not None else None
-            if target is not None:
-                target.smt_calls += 1
-                rounds = span.attrs.get("rounds")
-                if rounds is not None:
-                    target.smt_rounds += int(rounds)
+            report.smt_calls += 1
+            rounds = span.attrs.get("rounds")
+            if rounds is not None:
+                report.smt_rounds += int(rounds)
 
     # -- Event-to-node resolution for rules / choices / cexes ----------------
     rules: Dict[str, RuleRow] = {}
@@ -222,7 +180,7 @@ def build_explain(
         attrs = event.attrs
         owner = attrs.get("node")
         if not isinstance(owner, str) or not owner:
-            owner = _node_of_span(event.span_id, by_id)
+            owner = tree.nearest_attr(event.span_id, "node")
         report = node(owner) if owner else None
         if event.name == forensics.DEDUCT_RULE:
             rule_name = str(attrs.get("rule", "?"))
@@ -255,7 +213,6 @@ def build_explain(
                 report.cegis_iters += 1
                 if attrs.get("height") is not None:
                     report.last_height = int(attrs["height"])
-                    report.note_height(attrs["height"])
         elif event.name == forensics.CEGIS_CEX:
             if report is not None and attrs.get("cex") is not None:
                 report.last_cex = str(attrs["cex"])
@@ -265,10 +222,11 @@ def build_explain(
     for span in spans:
         if span.name != "serve.request":
             continue
-        queue_wait = 0.0
-        for child in spans:
-            if child.parent_id == span.span_id and child.name == "serve.queue_wait":
-                queue_wait += child.wall
+        queue_wait = sum(
+            (child.wall for child in tree.children.get(span.span_id, ())
+             if child.name == "serve.queue_wait"),
+            0.0,
+        )
         requests.append(
             RequestRow(
                 trace_id=span.attrs.get("trace_id"),
@@ -294,7 +252,7 @@ def build_explain(
     return ExplainReport(
         nodes=nodes,
         roots=roots,
-        total_wall=total_wall,
+        total_wall=tree.total_wall,
         run_self_wall=run_self,
         rules=rule_rows,
         solved=solved,

@@ -7,13 +7,16 @@ in-memory document:
 - then one record per span (``{"span": {...}}``) and one per instant event
   (``{"event": {...}}``), in completion order.
 
-``dryadsynth profile`` consumes this file; see :mod:`repro.obs.profile`.
+A crash flight journal (:mod:`repro.obs.flight`) is the same format written
+one record at a time, plus journal-only ``note``/``kill`` records that the
+span readers skip.  ``dryadsynth profile``/``explain``/``diff`` consume
+either; all of them read through :func:`scan_lines`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, TextIO, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import ObsEvent, Span, SpanRecorder
@@ -48,47 +51,68 @@ def dump_spans_jsonl(recorder: SpanRecorder, handle: TextIO) -> None:
         handle.write(json.dumps({"profile": profile.to_json()}) + "\n")
 
 
-def read_jsonl_tolerant(path: str) -> List[Dict]:
-    """Read a JSONL file whose *final* line may be torn mid-write.
+class LineScan(NamedTuple):
+    """What :func:`scan_lines` recovered from an append-only store."""
 
-    The torn-tail contract of the repo's append-only stores (span dumps
-    here; the sampler's ``.collapsed`` reader follows it too): a writer
-    killed mid-append (SIGKILL, hard deadline, power loss) leaves a
-    truncated trailing line behind, and that torn tail — including one cut
-    in the middle of a multi-byte UTF-8 character, which a text-mode read
-    would die on before reaching any line — is silently dropped so every
-    complete record before it is still recovered.  A corrupt *interior*
-    line still raises, because that means the file is damaged, not merely
-    unfinished.
+    records: List
+    torn: bool  # the final line failed to parse and was dropped
+    damaged: List[Tuple[int, ValueError]]  # (1-based line, error), interior
+
+
+def scan_lines(path: str, parse: Callable = json.loads) -> LineScan:
+    """Parse a line-per-record file whose *final* line may be torn mid-write.
+
+    The torn-tail contract of the repo's append-only stores (span dumps,
+    flight journals, the sampler's ``.collapsed`` export): a writer killed
+    mid-append (SIGKILL, hard deadline, power loss) leaves a truncated
+    trailing line behind, and that torn tail — including one cut in the
+    middle of a multi-byte UTF-8 character, which is why the read is
+    binary — is dropped so every complete record before it is still
+    recovered.  ``parse`` maps one raw line to a record and raises
+    ``ValueError`` (``json.JSONDecodeError`` and ``UnicodeDecodeError``
+    both are) on a damaged one.  Damaged *interior* lines are reported,
+    not raised: each caller decides whether damage is fatal.
     """
     with open(path, "rb") as handle:
         raw_lines = handle.read().split(b"\n")
     last = max(
         (i for i, raw in enumerate(raw_lines) if raw.strip()), default=-1
     )
-    records: List[Dict] = []
+    records: List = []
+    damaged: List[Tuple[int, ValueError]] = []
+    torn = False
     for index, raw in enumerate(raw_lines):
         if not raw.strip():
             continue
         try:
-            records.append(json.loads(raw))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+            records.append(parse(raw))
+        except ValueError as exc:
             if index == last:
-                continue  # torn tail from an interrupted append
-            raise
-    return records
+                torn = True
+            else:
+                damaged.append((index + 1, exc))
+    return LineScan(records, torn, damaged)
+
+
+def read_jsonl(path: str) -> List[Dict]:
+    """A JSONL file's records; a torn tail is dropped, interior damage raises."""
+    scan = scan_lines(path)
+    if scan.damaged:
+        raise scan.damaged[0][1]
+    return scan.records
 
 
 def read_spans_jsonl(path: str) -> Tuple[List[Span], List[ObsEvent], Dict]:
     """Load a spans JSONL file; returns ``(spans, events, header)``.
 
-    Unknown record kinds are skipped so future writers stay readable;
-    torn-tail tolerance follows :func:`read_jsonl_tolerant`.
+    Unknown record kinds (a flight journal's ``note``/``kill``) are skipped
+    so journals and future writers stay readable; torn-tail tolerance
+    follows :func:`read_jsonl`.
     """
     spans: List[Span] = []
     events: List[ObsEvent] = []
     header: Dict = {}
-    for record in read_jsonl_tolerant(path):
+    for record in read_jsonl(path):
         if "span" in record:
             spans.append(Span.from_json(record["span"]))
         elif "event" in record:

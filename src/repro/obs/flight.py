@@ -8,6 +8,14 @@ recent spans/events/notes into a bounded in-memory ring *and* an on-disk
 journal, written one record per line and flushed per record, so the parent
 can recover a post-mortem from the file the dead worker left behind.
 
+The journal is a ``repro-spans/1`` dump (:mod:`repro.obs.export`): its
+header adds the recorder's ``meta`` and ``capacity``, its ``span`` and
+``event`` records are the ``--spans-out`` records, and the two
+journal-only kinds — lifecycle ``note`` records and the parent's trailing
+``kill`` record — are skipped by span readers.  ``dryadsynth explain``,
+``profile`` and ``--trace-chrome`` therefore read a dead worker's journal
+like any span dump.
+
 Crash-resistance contract:
 
 - every record is appended as one line and flushed to the OS immediately —
@@ -30,7 +38,9 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
-FLIGHT_FORMAT = "repro-flight/1"
+from repro.obs.explain import build_explain
+from repro.obs.export import SPANS_FORMAT, scan_lines
+from repro.obs.spans import ObsEvent, Span
 
 #: Ring capacity: how many recent records survive a crash.
 DEFAULT_CAPACITY = 256
@@ -59,7 +69,7 @@ class FlightRecorder:
         self._appended = 0
         self._closed = False
         self._header = {
-            "format": FLIGHT_FORMAT,
+            "format": SPANS_FORMAT,
             "pid": os.getpid(),
             "capacity": self.capacity,
             "created": round(time.time(), 3),
@@ -156,102 +166,39 @@ def append_kill_record(path: str, **info) -> None:
         pass
 
 
-def read_flight_journal(path: str) -> Dict:
-    """Parse a journal tolerantly; returns header + record lists.
-
-    A truncated final line (the writer died mid-write) is expected and
-    dropped — including one torn mid-multibyte-character, which is why the
-    read is binary; so are blank lines.  Corrupt *interior* lines are
-    counted in ``"corrupt"`` rather than raised — a post-mortem reader
-    salvages what it can, because the alternative is losing the whole
-    journal to one torn byte.
-    """
-    header: Dict = {}
-    notes: List[Dict] = []
-    spans: List[Dict] = []
-    events: List[Dict] = []
-    kill: Optional[Dict] = None
-    corrupt = 0
-    truncated = False
-    with open(path, "rb") as handle:
-        lines = handle.read().split(b"\n")
-    last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            if index == last:
-                truncated = True
-            else:
-                corrupt += 1
-            continue
-        if "note" in record:
-            notes.append(record["note"])
-        elif "span" in record:
-            spans.append(record["span"])
-        elif "event" in record:
-            events.append(record["event"])
-        elif "kill" in record:
-            kill = record["kill"]
-        elif record.get("format") == FLIGHT_FORMAT:
-            header = record
-    return {
-        "header": header,
-        "notes": notes,
-        "spans": spans,
-        "events": events,
-        "kill": kill,
-        "corrupt": corrupt,
-        "truncated": truncated,
-    }
-
-
-def _forensics_frontier(spans: List[Dict], events: List[Dict]) -> Optional[Dict]:
+def _frontier(spans: List[Dict], events: List[Dict]) -> Optional[Dict]:
     """The subproblem-graph node the worker touched last, plus context.
 
-    Reconstructed purely from journaled records: the latest span or event
-    carrying a ``node`` attr names the frontier node; the latest forensics
-    ``divide.*`` / ``deduct.rule`` / ``cegis.cex`` records say what the
-    search was attempting there.  Returns ``None`` when the journal holds no
-    node-attributed record (forensics was off, or the ring rotated past it).
+    The latest journaled span (by its end) or event carrying a ``node``
+    attr names the frontier node, and ``via`` names that record.  What the
+    search was doing there is the node's own ``explain`` row
+    (:func:`~repro.obs.explain.build_explain`): ``fun``/``depth`` when its
+    ``graph.node`` record survived the ring, and the last division
+    strategy, deduction rule and counterexample attributed to the node.
+    Returns ``None`` when no record names a node (forensics was off, or
+    the ring rotated past it).
     """
-    records = [
-        (s.get("start", 0.0) + s.get("wall", 0.0), "span", s) for s in spans
-    ]
-    records += [(e.get("elapsed", 0.0), "event", e) for e in events]
-    records.sort(key=lambda r: r[0])
-    frontier: Dict = {}
-    node_meta: Dict[str, Dict] = {}
-    for _ts, kind, record in records:
-        attrs = record.get("attrs") or {}
-        name = record.get("name", "?")
-        if kind == "event" and record.get("domain") == "forensics":
-            node = attrs.get("node")
-            if name == "graph.node" and node:
-                node_meta[node] = {
-                    "fun": attrs.get("fun"),
-                    "depth": attrs.get("depth"),
-                }
-            elif name.startswith("divide.") and attrs.get("strategy"):
-                frontier["last_strategy"] = attrs["strategy"]
-            elif name == "deduct.rule" and attrs.get("rule"):
-                frontier["last_rule"] = attrs["rule"]
-            elif name == "cegis.cex" and attrs.get("cex"):
-                frontier["last_cex"] = attrs["cex"]
-            if node:
-                frontier["node"] = node
-                frontier["via"] = name
-        elif attrs.get("node"):
-            frontier["node"] = attrs["node"]
-            frontier["via"] = name
-    if "node" not in frontier:
+    stamped = [(s.get("start", 0.0) + s.get("wall", 0.0), s) for s in spans]
+    stamped += [(e.get("elapsed", 0.0), e) for e in events]
+    touched = [(ts, r) for ts, r in stamped
+               if (r.get("attrs") or {}).get("node")]
+    if not touched:
         return None
-    meta = node_meta.get(frontier["node"])
-    if meta:
-        frontier.update({k: v for k, v in meta.items() if v is not None})
+    # Latest first; a tie goes to the later record, as in a stable sort.
+    _, latest = max(reversed(touched), key=lambda item: item[0])
+    frontier = {"node": latest["attrs"]["node"],
+                "via": latest.get("name", "?")}
+    report = build_explain([Span.from_json(s) for s in spans],
+                           [ObsEvent.from_json(e) for e in events])
+    row = report.nodes.get(frontier["node"])
+    if row is None:
+        return frontier
+    if row.fun != "?":  # the node's graph.node record survived
+        frontier.update(fun=row.fun, depth=row.depth)
+    for key in ("last_strategy", "last_rule", "last_cex"):
+        value = getattr(row, key)
+        if value:
+            frontier[key] = value
     return frontier
 
 
@@ -261,50 +208,57 @@ def read_postmortem(path: str, tail: int = 25) -> Optional[Dict]:
     Returns ``None`` when the journal is missing or holds no records at all
     (not even a header) — there is nothing to report.  The payload is
     bounded: only the last ``tail`` spans/events ride along, plus every
-    lifecycle note and a summary of what the worker was doing last.
+    lifecycle note and a summary of what the worker was doing last.  A torn
+    final line is flagged in ``"truncated"``; damaged *interior* lines are
+    counted in ``"corrupt"`` rather than raised — a post-mortem salvages
+    what it can, because the alternative is losing the whole journal to one
+    torn byte.
     """
     try:
-        journal = read_flight_journal(path)
+        scan = scan_lines(path)
     except OSError:
         return None
-    if not (journal["header"] or journal["notes"] or journal["spans"]
-            or journal["events"]):
+    header: Dict = {}
+    notes: List[Dict] = []
+    spans: List[Dict] = []
+    events: List[Dict] = []
+    kill: Optional[Dict] = None
+    for record in scan.records:
+        if "note" in record:
+            notes.append(record["note"])
+        elif "span" in record:
+            spans.append(record["span"])
+        elif "event" in record:
+            events.append(record["event"])
+        elif "kill" in record:
+            kill = record["kill"]
+        elif "format" in record:
+            header = record
+    if not (header or notes or spans or events):
         return None
-    spans = journal["spans"]
-    events = journal["events"]
-    last_record: Optional[Dict] = None
-    if spans or events:
-        # The journal is append-ordered; the later of the two stream tails
-        # is what the worker touched last.
-        last_span = spans[-1] if spans else None
-        last_event = events[-1] if events else None
-        if last_span and last_event:
-            span_end = last_span.get("start", 0.0) + last_span.get("wall", 0.0)
-            last_record = (
-                {"span": last_span}
-                if span_end >= last_event.get("elapsed", 0.0)
-                else {"event": last_event}
-            )
-        else:
-            last_record = (
-                {"span": last_span} if last_span else {"event": last_event}
-            )
-    elif journal["notes"]:
-        last_record = {"note": journal["notes"][-1]}
+    # The journal is append-ordered; the later of the two stream tails (the
+    # span on a tie) is what the worker touched last, else its last note.
+    tails = [({"span": s}, s.get("start", 0.0) + s.get("wall", 0.0))
+             for s in spans[-1:]]
+    tails += [({"event": e}, e.get("elapsed", 0.0)) for e in events[-1:]]
+    if tails:
+        last_record = max(tails, key=lambda item: item[1])[0]
+    else:
+        last_record = {"note": notes[-1]} if notes else None
     return {
         "journal": path,
-        "pid": journal["header"].get("pid"),
-        "meta": journal["header"].get("meta", {}),
-        "kill": journal.get("kill"),
-        "notes": journal["notes"],
+        "pid": header.get("pid"),
+        "meta": header.get("meta", {}),
+        "kill": kill,
+        "notes": notes,
         "num_spans": len(spans),
         "num_events": len(events),
-        "spans": spans[-tail:],
-        "events": events[-tail:],
-        "truncated": journal["truncated"],
-        "corrupt": journal["corrupt"],
+        "spans": spans[max(0, len(spans) - tail):],
+        "events": events[max(0, len(events) - tail):],
+        "truncated": scan.torn,
+        "corrupt": len(scan.damaged),
         "last": last_record,
-        "frontier": _forensics_frontier(spans, events),
+        "frontier": _frontier(spans, events),
     }
 
 

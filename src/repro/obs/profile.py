@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.spans import Span
+from repro.obs.spans import Span, SpanTree
 
 SMT_SPAN_NAME = "smt.solve"
 
@@ -51,7 +51,9 @@ class ProfileReport:
         return None
 
 
-def compute_dark_time(spans: Sequence[Span]) -> List[Dict]:
+def compute_dark_time(
+    spans: Sequence[Span], tree: Optional[SpanTree] = None
+) -> List[Dict]:
     """Wall time inside each process's trace window but outside any root span.
 
     For every pid the window runs from its earliest span start to its
@@ -61,7 +63,8 @@ def compute_dark_time(spans: Sequence[Span]) -> List[Dict]:
     glue).  Computed purely from spans, so it works with the sampler off;
     sampled dark *frames* (when available) then say what ran there.
     """
-    by_id = {span.span_id: span for span in spans}
+    if tree is None:
+        tree = SpanTree(spans)
     by_pid: Dict[int, List[Span]] = {}
     for span in spans:
         by_pid.setdefault(span.pid, []).append(span)
@@ -71,9 +74,7 @@ def compute_dark_time(spans: Sequence[Span]) -> List[Dict]:
         window_start = min(s.start for s in group)
         window_end = max(s.start + s.wall for s in group)
         intervals = sorted(
-            (s.start, s.start + s.wall)
-            for s in group
-            if s.parent_id is None or s.parent_id not in by_id
+            (s.start, s.start + s.wall) for s in tree.roots if s.pid == pid
         )
         covered = 0.0
         cursor = window_start
@@ -94,44 +95,23 @@ def compute_dark_time(spans: Sequence[Span]) -> List[Dict]:
 
 def build_profile(spans: Sequence[Span]) -> ProfileReport:
     """Aggregate a span stream into per-phase self/cumulative attribution."""
-    by_id: Dict[int, Span] = {span.span_id: span for span in spans}
-    child_wall: Dict[int, float] = {}
+    tree = SpanTree(spans)
+    rows = {
+        name: PhaseRow(name, self_wall=wall)
+        for name, wall in tree.attribute(lambda span: span.name).items()
+    }
     for span in spans:
-        parent = span.parent_id
-        if parent is not None and parent in by_id:
-            child_wall[parent] = child_wall.get(parent, 0.0) + span.wall
-
-    def has_same_name_ancestor(span: Span) -> bool:
-        parent = span.parent_id
-        while parent is not None:
-            ancestor = by_id.get(parent)
-            if ancestor is None:
-                return False
-            if ancestor.name == span.name:
-                return True
-            parent = ancestor.parent_id
-        return False
-
-    rows: Dict[str, PhaseRow] = {}
-    total_wall = 0.0
-    roots = 0
-    for span in spans:
-        row = rows.get(span.name)
-        if row is None:
-            row = rows[span.name] = PhaseRow(span.name)
+        row = rows[span.name]
         row.count += 1
-        row.self_wall += max(0.0, span.wall - child_wall.get(span.span_id, 0.0))
         row.cum_cpu += span.cpu
         if span.status != "ok":
             row.errors += 1
-        if not has_same_name_ancestor(span):
+        # Recursion: only the outermost span of a name adds to its cum.
+        if all(a.name != span.name for a in tree.ancestors(span.parent_id)):
             row.cum_wall += span.wall
-        if span.parent_id is None or span.parent_id not in by_id:
-            roots += 1
-            total_wall += span.wall
     phases = sorted(rows.values(), key=lambda r: r.self_wall, reverse=True)
-    return ProfileReport(phases, total_wall, len(spans), roots,
-                         dark=compute_dark_time(spans))
+    return ProfileReport(phases, tree.total_wall, len(spans), len(tree.roots),
+                         dark=compute_dark_time(spans, tree))
 
 
 def render_profile(report: ProfileReport) -> str:

@@ -21,8 +21,8 @@ names in its dark-time section.
 
 ``dryadsynth flame`` renders/exports profiles; :func:`load_collapsed`
 reads ``.collapsed`` files back tolerantly (a writer killed mid-append
-tears at most the final line, same contract as
-:func:`repro.obs.export.read_jsonl_tolerant`).
+tears at most the final line, same contract and scanner as the span
+dumps: :func:`repro.obs.export.scan_lines`).
 """
 
 from __future__ import annotations
@@ -192,34 +192,30 @@ def write_collapsed(profile: StackProfile, path: str) -> None:
             handle.write(text + "\n")
 
 
+def _parse_collapsed(raw: bytes) -> Tuple[str, int]:
+    stack, count_text = raw.decode("utf-8").rsplit(" ", 1)
+    if not stack:
+        raise ValueError("empty stack")
+    return stack, int(count_text)
+
+
 def load_collapsed(path: str) -> StackProfile:
     """Read a ``.collapsed`` file tolerantly.
 
-    Same torn-tail contract as the JSONL stores: a final line truncated
-    mid-write — including mid-way through a multi-byte UTF-8 character —
-    is dropped; a malformed *interior* line raises ``ValueError``.
+    Same torn-tail contract as the JSONL stores
+    (:func:`repro.obs.export.scan_lines`): a torn final line is dropped; a
+    malformed *interior* line raises ``ValueError``.
     """
-    with open(path, "rb") as handle:
-        raw_lines = handle.read().split(b"\n")
-    last = max(
-        (i for i, raw in enumerate(raw_lines) if raw.strip()), default=-1
-    )
+    from repro.obs.export import scan_lines
+
+    scan = scan_lines(path, _parse_collapsed)
+    if scan.damaged:
+        line, exc = scan.damaged[0]
+        raise ValueError(
+            f"{path}:{line}: malformed collapsed-stack line"
+        ) from exc
     profile = StackProfile()
-    for index, raw in enumerate(raw_lines):
-        if not raw.strip():
-            continue
-        try:
-            line = raw.decode("utf-8")
-            stack, count_text = line.rsplit(" ", 1)
-            count = int(count_text)
-            if not stack:
-                raise ValueError("empty stack")
-        except (UnicodeDecodeError, ValueError) as exc:
-            if index == last:
-                continue  # torn tail from an interrupted append
-            raise ValueError(
-                f"{path}:{index + 1}: malformed collapsed-stack line"
-            ) from exc
+    for stack, count in scan.records:
         profile.record(stack, count=count)
     return profile
 
@@ -230,10 +226,10 @@ def read_profile_record(path: str) -> Optional[StackProfile]:
     Returns ``None`` when the dump carries no sampled profile — the span
     writers embed one only when the sampler ran.
     """
-    from repro.obs.export import read_jsonl_tolerant
+    from repro.obs.export import read_jsonl
 
     profile: Optional[StackProfile] = None
-    for record in read_jsonl_tolerant(path):
+    for record in read_jsonl(path):
         data = record.get("profile")
         if not data:
             continue

@@ -25,7 +25,9 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import (
+    Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Union,
+)
 
 AttrValue = Union[str, int, float, bool, None]
 
@@ -117,6 +119,58 @@ class ObsEvent:
         )
 
 
+class SpanTree:
+    """The parent/child index of a span stream: the one attribution core.
+
+    A span whose parent is absent from the stream (a merge root, a tree cut
+    off by a crash) is a root.  A span's *self* wall is its wall minus its
+    children's walls, so self walls partition :attr:`total_wall`, the sum
+    of the root walls; :meth:`attribute` buckets that partition —
+    ``profile`` by span name, ``explain`` by nearest ``node``.
+    """
+
+    def __init__(self, spans: Sequence[Span]) -> None:
+        self.spans = spans
+        self.by_id: Dict[int, Span] = {span.span_id: span for span in spans}
+        self.children: Dict[int, List[Span]] = {}
+        self.roots: List[Span] = []
+        for span in spans:
+            if span.parent_id is None or span.parent_id not in self.by_id:
+                self.roots.append(span)
+            else:
+                self.children.setdefault(span.parent_id, []).append(span)
+        self.total_wall = sum((span.wall for span in self.roots), 0.0)
+
+    def ancestors(self, span_id: Optional[int]) -> Iterator[Span]:
+        """Span ``span_id`` and its ancestors, innermost first (cycle-safe)."""
+        seen = set()
+        while span_id is not None and span_id not in seen:
+            seen.add(span_id)
+            span = self.by_id.get(span_id)
+            if span is None:
+                return
+            yield span
+            span_id = span.parent_id
+
+    def nearest_attr(self, span_id: Optional[int], key: str) -> Optional[str]:
+        """The non-empty string attr ``key`` of the innermost enclosing span."""
+        for span in self.ancestors(span_id):
+            value = span.attrs.get(key)
+            if isinstance(value, str) and value:
+                return value
+        return None
+
+    def attribute(self, key: Callable[[Span], Hashable]) -> Dict:
+        """Self wall summed per bucket ``key(span)``, in first-seen order."""
+        buckets: Dict = {}
+        for span in self.spans:
+            children = self.children.get(span.span_id, ())
+            self_wall = max(0.0, span.wall - sum(c.wall for c in children))
+            bucket = key(span)
+            buckets[bucket] = buckets.get(bucket, 0.0) + self_wall
+        return buckets
+
+
 class _NullSpan:
     """The shared do-nothing span returned while recording is disabled."""
 
@@ -197,13 +251,11 @@ class SpanRecorder:
     def __init__(
         self,
         metrics=None,
-        enabled: bool = True,
         max_spans: int = DEFAULT_MAX_SPANS,
     ) -> None:
         from repro.obs.metrics import MetricsRegistry
 
         self.epoch = time.monotonic()
-        self.enabled = enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans: List[Span] = []
         self.events: List[ObsEvent] = []
@@ -291,14 +343,10 @@ class SpanRecorder:
         The span nests under the innermost span open on the calling thread
         (threads have independent stacks; span *storage* is shared).
         """
-        if not self.enabled:
-            return NULL_SPAN
         return _LiveSpan(self, name, attrs)
 
     def add_event(self, name: str, domain: str = "obs", **attrs) -> None:
         """Record an instant event at the current position in the stream."""
-        if not self.enabled:
-            return
         stack = self._stack()
         event = ObsEvent(
             name=name,
@@ -329,18 +377,15 @@ class SpanRecorder:
         status: str = "ok",
         cpu: float = 0.0,
         **attrs,
-    ) -> Optional[int]:
+    ) -> int:
         """Record a span retroactively, without having held it open.
 
         The serving daemon uses this for phases whose start and end happen
         on different threads (queue wait: admission thread → dispatcher
         thread), where a context manager cannot straddle the boundary.
         ``start`` is seconds since the recorder's epoch; when omitted the
-        span is back-dated ``wall`` seconds from now.  Returns the span id
-        (None while recording is disabled).
+        span is back-dated ``wall`` seconds from now.  Returns the span id.
         """
-        if not self.enabled:
-            return None
         now_rel = time.monotonic() - self.epoch
         if start is None:
             start = max(0.0, now_rel - wall)

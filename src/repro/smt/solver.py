@@ -10,15 +10,11 @@ complete for QF_LIA.
 from __future__ import annotations
 
 import enum
-import logging
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.obs.log import jlog
-
-logger = logging.getLogger(__name__)
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import not_
 from repro.lang.simplify import simplify
@@ -220,11 +216,7 @@ class SmtSolver:
 
         With telemetry enabled (:func:`repro.obs.recording`) every call
         becomes an ``smt.solve`` span and updates the ``smt.*``/``sat.*``
-        metrics; disabled, the check below is the entire overhead.  With
-        DEBUG-level structured logging (``--log-json`` + a DEBUG threshold)
-        every call additionally emits an ``smt.solve`` log event carrying
-        the ambient job/problem correlation IDs — the level check is cached
-        by :mod:`logging`, so the quiet path stays one lookup.
+        metrics; disabled, the check below is the entire overhead.
 
         With query capture active (:func:`repro.smt.capture.capturing`, the
         ``--smt-corpus`` flag) the call is additionally serialized — query,
@@ -282,11 +274,9 @@ class SmtSolver:
         return h.digest()
 
     def _solve_dispatch(self, assumptions: Sequence[Term]) -> Result:
-        """Route to the plain/logged/traced solve path (see :meth:`solve`)."""
+        """Route to the plain or traced solve path (see :meth:`solve`)."""
         if obs.active() is None:
-            if not logger.isEnabledFor(logging.DEBUG):
-                return self._solve_impl(assumptions)
-            return self._solve_logged(assumptions)
+            return self._solve_impl(assumptions)
         return self._solve_traced(assumptions)
 
     def _solve_captured(self, assumptions: Sequence[Term]) -> Result:
@@ -325,22 +315,6 @@ class SmtSolver:
                     "max_rounds": self.max_rounds,
                     "lia_node_budget": self.lia_node_budget,
                 },
-            )
-
-    def _solve_logged(self, assumptions: Sequence[Term]) -> Result:
-        """One log-only solve (telemetry off, DEBUG logging on)."""
-        start = time.monotonic()
-        rounds_before = self.stats.rounds
-        status = "error"
-        try:
-            result = self._solve_impl(assumptions)
-            status = result.status.value
-            return result
-        finally:
-            jlog(
-                logger, "smt.solve", level=logging.DEBUG, status=status,
-                rounds=self.stats.rounds - rounds_before,
-                wall=round(time.monotonic() - start, 6),
             )
 
     def _solve_traced(self, assumptions: Sequence[Term]) -> Result:
@@ -384,10 +358,6 @@ class SmtSolver:
                 registry.gauge("sat.vars").set_max(sat.num_vars)
                 registry.histogram("smt.solve_seconds").observe(wall)
                 span.set(status=status, rounds=rounds, pivots=pivots)
-                jlog(
-                    logger, "smt.solve", level=logging.DEBUG, status=status,
-                    rounds=rounds, wall=round(wall, 6),
-                )
 
     def _solve_impl(self, assumptions: Sequence[Term] = ()) -> Result:
         self.stats.checks += 1

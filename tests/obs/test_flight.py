@@ -3,10 +3,9 @@
 import json
 
 from repro import obs
+from repro.obs.export import SPANS_FORMAT, read_jsonl, read_spans_jsonl
 from repro.obs.flight import (
-    FLIGHT_FORMAT,
     FlightRecorder,
-    read_flight_journal,
     read_postmortem,
     render_postmortem,
 )
@@ -25,7 +24,7 @@ class TestFlightRecorder:
         lines = journal_lines(path)
         assert len(lines) == 2
         header = json.loads(lines[0])
-        assert header["format"] == FLIGHT_FORMAT
+        assert header["format"] == SPANS_FORMAT
         assert header["meta"] == {"job_id": "job-1"}
         note = json.loads(lines[1])["note"]
         assert note["name"] == "job.start"
@@ -40,12 +39,12 @@ class TestFlightRecorder:
             with obs.span("solve", problem="max2"):
                 obs.event("cegis.counterexample", round=1)
         flight.close()
-        journal = read_flight_journal(str(path))
-        assert [s["name"] for s in journal["spans"]] == ["solve"]
-        assert journal["spans"][0]["attrs"]["problem"] == "max2"
-        assert [e["name"] for e in journal["events"]] == [
-            "cegis.counterexample"
-        ]
+        # The journal is a span dump: the span reader takes it as it is.
+        spans, events, header = read_spans_jsonl(str(path))
+        assert header["format"] == SPANS_FORMAT
+        assert [s.name for s in spans] == ["solve"]
+        assert spans[0].attrs["problem"] == "max2"
+        assert [e.name for e in events] == ["cegis.counterexample"]
 
     def test_rotation_bounds_the_journal(self, tmp_path):
         path = tmp_path / "job.flight.jsonl"
@@ -56,9 +55,9 @@ class TestFlightRecorder:
         lines = journal_lines(path)
         # Bounded: never more than header + 2*capacity + rotation slack.
         assert len(lines) <= 1 + 2 * 10 + 1
-        journal = read_flight_journal(str(path))
-        assert journal["header"]["format"] == FLIGHT_FORMAT  # survives rotate
-        ticks = [n["attrs"]["i"] for n in journal["notes"]]
+        records = read_jsonl(str(path))
+        assert records[0]["format"] == SPANS_FORMAT  # survives rotate
+        ticks = [r["note"]["attrs"]["i"] for r in records if "note" in r]
         assert ticks == sorted(ticks)
         assert ticks[-1] == 99  # most recent records survive
 
@@ -79,7 +78,7 @@ class TestReadFlightJournal:
         flight.close()
         torn = path.read_text()[:-9]  # SIGKILL mid-write of the last record
         path.write_text(torn)
-        journal = read_flight_journal(str(path))
+        journal = read_postmortem(str(path))
         assert journal["truncated"]
         assert journal["corrupt"] == 0
         assert [n["name"] for n in journal["notes"]] == ["job.start"]
@@ -92,7 +91,7 @@ class TestReadFlightJournal:
         lines = path.read_text().splitlines()
         lines.insert(1, '{"note": {"name": "half')
         path.write_text("\n".join(lines) + "\n")
-        journal = read_flight_journal(str(path))
+        journal = read_postmortem(str(path))
         assert journal["corrupt"] == 1
         assert not journal["truncated"]
         assert [n["name"] for n in journal["notes"]] == ["job.start"]
@@ -137,6 +136,11 @@ class TestReadPostmortem:
         assert [e["attrs"]["i"] for e in postmortem["events"]] == [
             35, 36, 37, 38, 39,
         ]
+        # A zero (or negative) tail keeps no records, not all of them.
+        for tail in (0, -2):
+            postmortem = read_postmortem(str(path), tail=tail)
+            assert postmortem["num_events"] == 40
+            assert postmortem["events"] == []
 
     def test_render_contains_the_story(self, tmp_path):
         path = tmp_path / "job.flight.jsonl"
@@ -201,6 +205,36 @@ class TestForensicsFrontier:
         assert "frontier: node bbb222" in rendered
         assert "last_rule=match" in rendered
 
+    def test_frontier_reports_only_its_own_rule_and_cex(self, tmp_path):
+        """Another node's failed rule and counterexample are not the
+        frontier node's, even when they are the journal's latest."""
+        from repro.obs.flight import read_postmortem, render_postmortem
+        from repro.obs.spans import ObsEvent, Span
+
+        path = self._journal(tmp_path, [
+            ObsEvent("graph.node", 0.0,
+                     {"node": "aaa111", "fun": "f", "depth": 0},
+                     "forensics", 1),
+            ObsEvent("graph.node", 0.1,
+                     {"node": "bbb222", "fun": "g0!f", "parent": "aaa111",
+                      "strategy": "fixed-term", "depth": 1},
+                     "forensics", 1),
+            ObsEvent("deduct.rule", 0.25, {"rule": "match",
+                                           "outcome": "failed"},
+                     "forensics", 2),
+            ObsEvent("cegis.cex", 0.28, {"cex": '{"x":7}'}, "forensics", 2),
+            Span(2, 1, "deduct", 0.2, wall=0.1, attrs={"node": "aaa111"}),
+            Span(3, 1, "enum", 0.3, wall=0.5, attrs={"node": "bbb222"}),
+        ])
+        postmortem = read_postmortem(path)
+        frontier = postmortem["frontier"]
+        assert frontier == {"node": "bbb222", "via": "enum", "fun": "g0!f",
+                            "depth": 1}
+        rendered = render_postmortem(postmortem)
+        assert "  frontier: node bbb222 fun=g0!f depth=1 via=enum\n" in (
+            rendered + "\n")
+        assert "last counterexample" not in rendered
+
     def test_no_node_records_means_no_frontier(self, tmp_path):
         from repro.obs.flight import read_postmortem
         from repro.obs.spans import Span
@@ -235,7 +269,7 @@ class TestKillRecords:
             signal="SIGTERM", exitcode=-15,
             last_rss_bytes=300 * 1024 * 1024,
         )
-        journal = read_flight_journal(str(path))
+        journal = read_postmortem(str(path))
         kill = journal["kill"]
         assert kill["cause"] == "oom_budget"
         assert kill["signal"] == "SIGTERM"
@@ -251,7 +285,7 @@ class TestKillRecords:
         with open(path, "a") as handle:
             handle.write('{"note": {"name": "half-writ')  # died mid-append
         append_kill_record(str(path), cause="deadline", reason="2s over")
-        journal = read_flight_journal(str(path))
+        journal = read_postmortem(str(path))
         assert journal["kill"]["cause"] == "deadline"
         # The torn half-line is interior damage now, counted not fatal.
         assert journal["corrupt"] == 1

@@ -158,13 +158,6 @@ class TestDisabledMode:
             pass
         assert recorder.metrics.counter("leak.test").value == 0
 
-    def test_disabled_recorder_returns_null_span(self):
-        recorder = SpanRecorder(enabled=False)
-        assert recorder.span("s") is NULL_SPAN
-        recorder.add_event("e")
-        assert recorder.spans == []
-        assert recorder.events == []
-
     def test_recording_installs_and_restores(self):
         assert obs.active() is None
         with obs.recording() as recorder:

@@ -1,12 +1,15 @@
-"""One torn-tail tolerance contract, two append-only stores.
+"""One torn-tail tolerance contract, three append-only stores.
 
-Span dumps and the sampler's ``.collapsed`` export share the same recovery
+Span dumps, flight journals and the sampler's ``.collapsed`` export share
+one line scanner (:func:`repro.obs.export.scan_lines`) and its recovery
 contract: a writer killed mid-append (SIGKILL, hard deadline, power loss)
 leaves a truncated final line, possibly torn in the middle of a multi-byte
 UTF-8 character, and the reader must drop exactly that line while
 recovering every complete record before it.  A corrupt *interior* line
-still raises, because that means damage, not an interrupted append.  This
-test drives both loaders through one parametrized harness so the contract
+means damage, not an interrupted append: span dumps and ``.collapsed``
+files raise, and the post-mortem reader counts it in ``"corrupt"`` (its
+loader below surfaces that count as the same ``ValueError``).  This test
+drives all three loaders through one parametrized harness so the contract
 cannot drift per store.
 """
 
@@ -14,16 +17,18 @@ import json
 
 import pytest
 
-from repro.obs.export import read_jsonl_tolerant
+from repro.obs.export import read_spans_jsonl
+from repro.obs.flight import read_postmortem
 from repro.obs.sampler import load_collapsed
 
 
-def _jsonl_record(index):
-    # The non-ASCII benchmark name puts multi-byte UTF-8 on every line
+def _event_record(index):
+    # The non-ASCII name puts multi-byte UTF-8 on every line
     # (ensure_ascii=False keeps it unescaped), so the torn-tail case can
     # cut inside a character.
     return json.dumps(
-        {"record": index, "name": f"bench-é-{index}"}, ensure_ascii=False
+        {"event": {"name": f"bench-é-{index}", "elapsed": index}},
+        ensure_ascii=False,
     )
 
 
@@ -32,16 +37,28 @@ def _collapsed_record(index):
 
 
 def _load_spans_store(path):
-    return read_jsonl_tolerant(path)
+    return read_spans_jsonl(path)[1]
+
+
+def _load_journal(path):
+    postmortem = read_postmortem(path, tail=100)
+    if postmortem is None:
+        return []
+    if postmortem["corrupt"]:
+        raise ValueError(f"{postmortem['corrupt']} corrupt interior line(s)")
+    return postmortem["events"]
 
 
 STORES = [
-    pytest.param("spans.jsonl", _jsonl_record, _load_spans_store, id="spans"),
+    pytest.param("spans.jsonl", _event_record, _load_spans_store, id="spans"),
     pytest.param(
         "profile.collapsed",
         _collapsed_record,
         lambda path: load_collapsed(path).counts,
         id="collapsed",
+    ),
+    pytest.param(
+        "job.flight.jsonl", _event_record, _load_journal, id="journal"
     ),
 ]
 

@@ -168,3 +168,38 @@ class TestDeadlineKilledSolverFrontier:
         )
         assert len(frontier["node"]) == 12
         assert frontier.get("via")
+
+    def test_killed_journal_reads_as_a_span_dump(self, tmp_path, capsys):
+        """The killed worker's journal is a span dump: the span reader,
+        ``explain`` and ``profile`` take it like a ``--spans-out`` file, and
+        the post-mortem frontier node is a row of explain's node table."""
+        from repro.bench.suite import demo_subset
+        from repro.cli import main
+        from repro.obs.explain import build_explain
+        from repro.obs.export import read_spans_jsonl
+        from repro.sygus.serializer import problem_to_sygus
+
+        bench = next(b for b in demo_subset() if b.name == "qm-max3")
+        job = SynthesisJob(
+            problem_text=problem_to_sygus(bench.problem()),
+            solver="dryadsynth",
+            timeout=60.0,
+            hard_timeout=2.0,
+            name="qm-max3",
+        )
+        flight_dir = tmp_path / "flights"
+        with WorkerPool(
+            workers=1, max_retries=0, flight_dir=str(flight_dir)
+        ) as pool:
+            (result,) = pool.run([job])
+        assert result.status == TIMEOUT
+        (journal,) = flight_dir.glob("*.flight.jsonl")
+        spans, events, header = read_spans_jsonl(str(journal))
+        assert header["meta"]["name"] == "qm-max3"
+        assert spans
+        report = build_explain(spans, events)
+        frontier = result.postmortem["frontier"]
+        assert frontier["node"] in report.nodes
+        for command in ("explain", "profile"):
+            assert main([command, str(journal)]) == 0
+            assert capsys.readouterr().out.strip()

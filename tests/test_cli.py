@@ -428,6 +428,26 @@ class TestPostmortemCli:
         assert payload["meta"]["name"] == "max2"
         assert payload["notes"]
 
+    def test_tail_zero_lists_nothing_and_negative_is_rejected(
+            self, tmp_path, capsys):
+        from repro import obs
+        from repro.obs.flight import FlightRecorder
+
+        journal = str(tmp_path / "ticks.flight.jsonl")
+        flight = FlightRecorder(journal, meta={"job_id": "ticks"})
+        with obs.recording() as recorder:
+            recorder.sink = flight
+            for i in range(7):
+                obs.event("tick", i=i)
+        assert main(["postmortem", "--tail", "0", journal]) == 0
+        out = capsys.readouterr().out
+        assert "recorded: 0 span(s), 7 event(s)" in out
+        assert "event(s):" not in out  # no "last N event(s):" listing
+        with pytest.raises(SystemExit) as exc:
+            main(["postmortem", "--tail", "-2", journal])
+        assert exc.value.code == 2
+        assert "--tail must be >= 0" in capsys.readouterr().err
+
     def test_missing_journal_errors(self, tmp_path, capsys):
         code = main(["postmortem", str(tmp_path / "absent.flight.jsonl")])
         assert code == 2
