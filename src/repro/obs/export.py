@@ -16,7 +16,7 @@ either; all of them read through :func:`scan_lines`.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, NamedTuple, Optional, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import ObsEvent, Span, SpanRecorder
@@ -51,15 +51,9 @@ def dump_spans_jsonl(recorder: SpanRecorder, handle: TextIO) -> None:
         handle.write(json.dumps({"profile": profile.to_json()}) + "\n")
 
 
-class LineScan(NamedTuple):
-    """What :func:`scan_lines` recovered from an append-only store."""
-
-    records: List
-    torn: bool  # the final line failed to parse and was dropped
-    damaged: List[Tuple[int, ValueError]]  # (1-based line, error), interior
-
-
-def scan_lines(path: str, parse: Callable = json.loads) -> LineScan:
+def scan_lines(
+    path: str, parse: Callable = json.loads
+) -> Tuple[List, bool, List[Tuple[int, ValueError]]]:
     """Parse a line-per-record file whose *final* line may be torn mid-write.
 
     The torn-tail contract of the repo's append-only stores (span dumps,
@@ -70,8 +64,10 @@ def scan_lines(path: str, parse: Callable = json.loads) -> LineScan:
     binary — is dropped so every complete record before it is still
     recovered.  ``parse`` maps one raw line to a record and raises
     ``ValueError`` (``json.JSONDecodeError`` and ``UnicodeDecodeError``
-    both are) on a damaged one.  Damaged *interior* lines are reported,
-    not raised: each caller decides whether damage is fatal.
+    both are) on a damaged one.  Returns ``(records, torn, damaged)``:
+    ``torn`` says the final line was dropped, and ``damaged`` lists each
+    damaged *interior* line as ``(line number, error)`` — reported, not
+    raised, so each caller decides whether damage is fatal.
     """
     with open(path, "rb") as handle:
         raw_lines = handle.read().split(b"\n")
@@ -91,15 +87,15 @@ def scan_lines(path: str, parse: Callable = json.loads) -> LineScan:
                 torn = True
             else:
                 damaged.append((index + 1, exc))
-    return LineScan(records, torn, damaged)
+    return records, torn, damaged
 
 
 def read_jsonl(path: str) -> List[Dict]:
     """A JSONL file's records; a torn tail is dropped, interior damage raises."""
-    scan = scan_lines(path)
-    if scan.damaged:
-        raise scan.damaged[0][1]
-    return scan.records
+    records, _, damaged = scan_lines(path)
+    if damaged:
+        raise damaged[0][1]
+    return records
 
 
 def read_spans_jsonl(path: str) -> Tuple[List[Span], List[ObsEvent], Dict]:

@@ -215,7 +215,7 @@ def read_postmortem(path: str, tail: int = 25) -> Optional[Dict]:
     torn byte.
     """
     try:
-        scan = scan_lines(path)
+        records, torn, damaged = scan_lines(path)
     except OSError:
         return None
     header: Dict = {}
@@ -223,7 +223,7 @@ def read_postmortem(path: str, tail: int = 25) -> Optional[Dict]:
     spans: List[Dict] = []
     events: List[Dict] = []
     kill: Optional[Dict] = None
-    for record in scan.records:
+    for record in records:
         if "note" in record:
             notes.append(record["note"])
         elif "span" in record:
@@ -255,8 +255,8 @@ def read_postmortem(path: str, tail: int = 25) -> Optional[Dict]:
         "num_events": len(events),
         "spans": spans[max(0, len(spans) - tail):],
         "events": events[max(0, len(events) - tail):],
-        "truncated": scan.torn,
-        "corrupt": len(scan.damaged),
+        "truncated": torn,
+        "corrupt": len(damaged),
         "last": last_record,
         "frontier": _frontier(spans, events),
     }

@@ -208,14 +208,14 @@ def load_collapsed(path: str) -> StackProfile:
     """
     from repro.obs.export import scan_lines
 
-    scan = scan_lines(path, _parse_collapsed)
-    if scan.damaged:
-        line, exc = scan.damaged[0]
+    records, _, damaged = scan_lines(path, _parse_collapsed)
+    if damaged:
+        line, exc = damaged[0]
         raise ValueError(
             f"{path}:{line}: malformed collapsed-stack line"
         ) from exc
     profile = StackProfile()
-    for stack, count in scan.records:
+    for stack, count in records:
         profile.record(stack, count=count)
     return profile
 
