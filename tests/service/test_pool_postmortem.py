@@ -7,6 +7,7 @@ left behind, and the parent's merged registries must count the recoveries
 deterministically.
 """
 
+import json
 import os
 import signal
 import threading
@@ -200,6 +201,10 @@ class TestDeadlineKilledSolverFrontier:
         report = build_explain(spans, events)
         frontier = result.postmortem["frontier"]
         assert frontier["node"] in report.nodes
-        for command in ("explain", "profile"):
-            assert main([command, str(journal)]) == 0
-            assert capsys.readouterr().out.strip()
+        assert main(["explain", str(journal)]) == 0
+        assert "subproblem tree" in capsys.readouterr().out
+        trace = tmp_path / "killed.trace.json"
+        assert main(["profile", str(journal), "--trace-chrome",
+                     str(trace)]) == 0
+        assert "traced wall clock" in capsys.readouterr().out
+        assert json.loads(trace.read_text())["traceEvents"]
