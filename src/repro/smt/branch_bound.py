@@ -71,11 +71,11 @@ def check_lia(
 def _small_model_bound(
     constraints: Sequence[Tuple[LinExpr, object]], num_vars: int
 ) -> int:
-    biggest = 1
-    for expr, _ in constraints:
-        for _, coeff in expr.coeffs:
-            biggest = max(biggest, abs(coeff))
-        biggest = max(biggest, abs(expr.const))
+    biggest = max(
+        [1]
+        + [abs(expr.const) for expr, _ in constraints]
+        + [abs(coeff) for expr, _ in constraints for _, coeff in expr.coeffs]
+    )
     m = len(constraints)
     n = max(num_vars, 1)
     # Papadimitriou's bound; cap the exponent so the integer stays tractable
@@ -101,8 +101,11 @@ class _Search:
         deadline: Optional[float] = None,
     ) -> None:
         self._simplex = Simplex()
-        self._vars = [(name, self._simplex.new_var()) for name in var_names]
-        self._constraints = list(constraints)
+        # Variable ``i`` of the tableau is ``var_names[i]``.
+        self._names = var_names
+        for _ in var_names:
+            self._simplex.new_var()
+        self._constraints = constraints
         self._box = box
         self._nodes_left = max_nodes
         self._deadline = deadline
@@ -165,14 +168,35 @@ class _Search:
         """
         self._count_node()
         simplex = self._simplex
+        assert_bound = simplex.assert_bound
+        box = self._box
+        index = {name: var for var, name in enumerate(self._names)}
         slack_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
-        index = dict(self._vars)
         try:
-            for _, var in self._vars:
-                simplex.assert_bound(Bound(var, True, -self._box, None))
-                simplex.assert_bound(Bound(var, False, self._box, None))
+            for var in index.values():
+                assert_bound(Bound(var, True, -box, None))
+                assert_bound(Bound(var, False, box, None))
+            # expr >= 0  <=>  sum(c_i x_i) >= -const.
             for expr, tag in self._constraints:
-                self._assert_constraint(index, slack_cache, expr, tag)
+                coeffs = expr.coeffs
+                threshold = -expr.const
+                if len(coeffs) == 1:
+                    name, coeff = coeffs[0]
+                    if coeff > 0:
+                        # x >= ceil(threshold / coeff)
+                        bound = Bound(index[name], True, -(-threshold // coeff), tag)
+                    else:
+                        # x <= floor(threshold / coeff)
+                        bound = Bound(index[name], False, threshold // coeff, tag)
+                else:
+                    slack = slack_cache.get(coeffs)
+                    if slack is None:
+                        slack = simplex.new_slack(
+                            {index[name]: coeff for name, coeff in coeffs}
+                        )
+                        slack_cache[coeffs] = slack
+                    bound = Bound(slack, True, threshold, tag)
+                assert_bound(bound)
             simplex.check()
         except Conflict as conflict:
             return [blame.tag for blame in conflict.bounds]
@@ -196,9 +220,10 @@ class _Search:
     def _branch_or_model(self):
         """The integer model, or a branch on the most fractional variable."""
         raw_value = self._simplex.raw_value
+        names = self._names
         best = None
         best_dist, best_den = 0, 1
-        for _, var in self._vars:
+        for var in range(len(names)):
             num, den = raw_value(var)
             rem = num % den
             if rem:
@@ -209,35 +234,8 @@ class _Search:
                     best, best_dist, best_den = (var, num // den), dist, den
         if best is None:
             model = {}
-            for name, var in self._vars:
+            for var, name in enumerate(names):
                 num, den = raw_value(var)
                 model[name] = num // den
             return model
         return best
-
-    def _assert_constraint(
-        self,
-        index: Dict[str, int],
-        slack_cache: Dict[Tuple[Tuple[str, int], ...], int],
-        expr: LinExpr,
-        tag: object,
-    ) -> None:
-        # expr >= 0  <=>  sum(c_i x_i) >= -const.
-        simplex = self._simplex
-        threshold = -expr.const
-        if len(expr.coeffs) == 1:
-            name, coeff = expr.coeffs[0]
-            var = index[name]
-            if coeff > 0:
-                # x >= ceil(threshold / coeff)
-                simplex.assert_bound(Bound(var, True, -(-threshold // coeff), tag))
-            else:
-                # x <= floor(threshold / coeff)
-                simplex.assert_bound(Bound(var, False, threshold // coeff, tag))
-            return
-        key = expr.coeffs
-        slack = slack_cache.get(key)
-        if slack is None:
-            slack = simplex.new_slack({index[name]: coeff for name, coeff in expr.coeffs})
-            slack_cache[key] = slack
-        simplex.assert_bound(Bound(slack, True, threshold, tag))

@@ -11,11 +11,22 @@ Bounds are backtrackable: :meth:`Simplex.push` marks a level and
 :meth:`Simplex.pop` restores every bound tightened since the mark, keeping
 the tableau and the assignment, so a caller exploring nearby bound sets
 (branch-and-bound) re-checks from the last feasible basis instead of from
-scratch.  Bounds and slack coefficients are integers; the tableau and the
-assignment are the tuple rationals of :mod:`repro.smt.rational`.
+scratch.
+
+The arithmetic is fraction-free.  Each tableau row is a list of integers
+over one positive row denominator, ``den * basic = sum(a_j * x_j)``, kept
+in lowest terms by one ``gcd`` per row a pivot touches.  Bounds and slack
+coefficients are integers, and a nonbasic variable always sits on an
+integer (zero, or the bound it was last moved to), so every assignment is
+an integer numerator over its row's denominator.  Each row's key order is
+part of the contract: :meth:`Simplex._explain` walks it, and that order
+becomes the conflict, the unsat core and the DPLL(T) lemma.
 """
 
 from __future__ import annotations
+
+from math import gcd
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Process-wide pivot tally (index 0), read by the telemetry layer: the SMT
 #: driver reports per-query deltas of :func:`pivots_total` as the
@@ -28,24 +39,8 @@ def pivots_total() -> int:
     """Simplex pivots performed by this process since import."""
     return _PIVOT_TALLY[0]
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.smt.rational import (
-    Rat,
-    ZERO,
-    is_zero,
-    radd,
-    rdiv,
-    rlt,
-    rmul,
-    rneg,
-    rsub,
-)
-
-
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """A bound ``var >= value`` (lower) or ``var <= value`` (upper).
 
     ``tag`` identifies the asserting atom for conflict explanations; ``None``
@@ -77,59 +72,77 @@ class Simplex:
     """
 
     def __init__(self) -> None:
-        self._num_vars = 0
-        # Tableau: basic var -> {nonbasic var: coeff}.
-        self._rows: Dict[int, Dict[int, Rat]] = {}
+        # Tableau: basic var -> {nonbasic var: coeff}, scaled by _den[basic].
+        self._rows: Dict[int, Dict[int, int]] = {}
         self._is_basic: List[bool] = []
         self._lower: List[Optional[Bound]] = []
         self._upper: List[Optional[Bound]] = []
-        self._lower_val: List[Optional[Rat]] = []
-        self._upper_val: List[Optional[Rat]] = []
-        self._assign: List[Rat] = []
+        self._lower_val: List[Optional[int]] = []
+        self._upper_val: List[Optional[int]] = []
+        # The assignment of var is _num[var] / _den[var]; _den is the row
+        # denominator of a basic var and 1 for a nonbasic one.
+        self._num: List[int] = []
+        self._den: List[int] = []
         # Bounds overwritten since the open levels began, as
         # ``(var, is_lower, old_bound, old_value)``, and the trail length at
         # each :meth:`push`.
-        self._trail: List[Tuple[int, bool, Optional[Bound], Optional[Rat]]] = []
+        self._trail: List[Tuple[int, bool, Optional[Bound], Optional[int]]] = []
         self._levels: List[int] = []
 
     def new_var(self) -> int:
-        index = self._num_vars
-        self._num_vars += 1
+        index = len(self._num)
         self._is_basic.append(False)
         self._lower.append(None)
         self._upper.append(None)
         self._lower_val.append(None)
         self._upper_val.append(None)
-        self._assign.append(ZERO)
+        self._num.append(0)
+        self._den.append(1)
         return index
 
     def new_slack(self, combo: Dict[int, int]) -> int:
         """A fresh basic variable defined as ``sum(coeff * var)``."""
-        index = self.new_var()
-        row: Dict[int, Rat] = {}
-        for var, int_coeff in combo.items():
-            if not int_coeff:
+        is_basic = self._is_basic
+        den = self._den
+        row: Dict[int, int] = {}
+        row_den = 1
+        for var, coeff in combo.items():
+            if not coeff:
                 continue
-            coeff = (int_coeff, 1)
-            if self._is_basic[var]:
-                for inner_var, inner_coeff in self._rows[var].items():
-                    merged = radd(row.get(inner_var, ZERO), rmul(coeff, inner_coeff))
-                    if is_zero(merged):
-                        row.pop(inner_var, None)
-                    else:
-                        row[inner_var] = merged
-            else:
-                merged = radd(row.get(var, ZERO), coeff)
-                if is_zero(merged):
-                    row.pop(var, None)
-                else:
+            if not is_basic[var]:
+                merged = row.get(var, 0) + coeff * row_den
+                if merged:
                     row[var] = merged
-        value = ZERO
-        for var, coeff in row.items():
-            value = radd(value, rmul(coeff, self._assign[var]))
+                else:
+                    del row[var]
+                continue
+            # Add coeff * (var's row / its den) over the common multiple.
+            inner_den = den[var]
+            common = row_den * inner_den // gcd(row_den, inner_den)
+            if common != row_den:
+                scale = common // row_den
+                for key in row:
+                    row[key] *= scale
+                row_den = common
+            factor = coeff * (common // inner_den)
+            for inner_var, inner_coeff in self._rows[var].items():
+                merged = row.get(inner_var, 0) + factor * inner_coeff
+                if merged:
+                    row[inner_var] = merged
+                else:
+                    del row[inner_var]
+        if row_den > 1:
+            common = gcd(row_den, *row.values())
+            if common > 1:
+                row_den //= common
+                for key in row:
+                    row[key] //= common
+        num = self._num
+        index = self.new_var()
         self._rows[index] = row
-        self._is_basic[index] = True
-        self._assign[index] = value
+        is_basic[index] = True
+        num[index] = sum(coeff * num[var] for var, coeff in row.items())
+        den[index] = row_den
         return index
 
     def push(self) -> None:
@@ -156,83 +169,101 @@ class Simplex:
 
     def assert_bound(self, bound: Bound) -> None:
         """Assert a bound, keeping only the strongest per direction."""
-        value = (bound.value, 1)
-        var = bound.var
-        is_lower = bound.is_lower
-        store_val = self._lower_val if is_lower else self._upper_val
-        store = self._lower if is_lower else self._upper
-        current = store_val[var]
-        if current is not None:
-            if is_lower and not rlt(current, value):
+        var, is_lower, value, _ = bound
+        if is_lower:
+            current = self._lower_val[var]
+            if current is not None and current >= value:
                 return
-            if not is_lower and not rlt(value, current):
-                return
-        opposite_val = self._upper_val[var] if is_lower else self._lower_val[var]
-        if opposite_val is not None:
-            opposite = self._upper[var] if is_lower else self._lower[var]
-            if is_lower and rlt(opposite_val, value):
-                raise Conflict([bound, opposite])
-            if not is_lower and rlt(value, opposite_val):
-                raise Conflict([bound, opposite])
-        if self._levels:
-            self._trail.append((var, is_lower, store[var], current))
-        store[var] = bound
-        store_val[var] = value
-        if not self._is_basic[var]:
-            if is_lower and rlt(self._assign[var], value):
+            opposite = self._upper_val[var]
+            if opposite is not None and opposite < value:
+                raise Conflict([bound, self._upper[var]])
+            if self._levels:
+                self._trail.append((var, True, self._lower[var], current))
+            self._lower[var] = bound
+            self._lower_val[var] = value
+            if not self._is_basic[var] and self._num[var] < value:
                 self._update(var, value)
-            elif not is_lower and rlt(value, self._assign[var]):
+        else:
+            current = self._upper_val[var]
+            if current is not None and current <= value:
+                return
+            opposite = self._lower_val[var]
+            if opposite is not None and opposite > value:
+                raise Conflict([bound, self._lower[var]])
+            if self._levels:
+                self._trail.append((var, False, self._upper[var], current))
+            self._upper[var] = bound
+            self._upper_val[var] = value
+            if not self._is_basic[var] and self._num[var] > value:
                 self._update(var, value)
 
-    def _update(self, nonbasic: int, value: Rat) -> None:
-        delta = rsub(value, self._assign[nonbasic])
-        if is_zero(delta):
-            return
-        self._assign[nonbasic] = value
+    def _update(self, nonbasic: int, value: int) -> None:
+        num = self._num
+        delta = value - num[nonbasic]
+        num[nonbasic] = value
         for basic, row in self._rows.items():
             coeff = row.get(nonbasic)
             if coeff is not None:
-                self._assign[basic] = radd(self._assign[basic], rmul(coeff, delta))
+                num[basic] += coeff * delta
 
-    def _pivot(self, basic: int, nonbasic: int) -> None:
+    def _pivot_and_update(self, basic: int, nonbasic: int, value: int) -> None:
+        """Move ``basic`` to ``value`` and swap it with ``nonbasic``."""
         _PIVOT_TALLY[0] += 1
-        row = self._rows.pop(basic)
+        rows = self._rows
+        num = self._num
+        den = self._den
+        row = rows.pop(basic)
         coeff = row.pop(nonbasic)
-        # basic = coeff * nonbasic + rest  =>  nonbasic = (basic - rest)/coeff
-        inverse = rdiv((1, 1), coeff)
-        new_row: Dict[int, Rat] = {basic: inverse}
-        for var, c in row.items():
-            new_row[var] = rneg(rdiv(c, coeff))
+        # den_b * basic = coeff * nonbasic + rest, so
+        # |coeff| * nonbasic = ±(den_b * basic - rest): a row in lowest terms
+        # because the old one was.  ``gap / coeff`` is the step of nonbasic.
+        basic_den = den[basic]
+        gap = value * basic_den - num[basic]
+        if coeff > 0:
+            new_row = {basic: basic_den}
+            for var, c in row.items():
+                new_row[var] = -c
+            new_den = coeff
+            sign = 1
+        else:
+            new_row = {basic: -basic_den}
+            new_row.update(row)
+            new_den = -coeff
+            sign = -1
+        num[basic] = value
+        den[basic] = 1
+        num[nonbasic] = sign * (num[nonbasic] * coeff + gap)
+        den[nonbasic] = new_den
         self._is_basic[basic] = False
         self._is_basic[nonbasic] = True
-        self._rows[nonbasic] = new_row
-        # Substitute into all other rows mentioning `nonbasic`.
-        for other, other_row in self._rows.items():
-            if other == nonbasic:
-                continue
+        # Substitute into every other row mentioning `nonbasic`, over the
+        # product of the two denominators, then back to lowest terms.
+        step = sign * gap
+        for other, other_row in rows.items():
             factor = other_row.pop(nonbasic, None)
             if factor is None:
                 continue
+            other_num = num[other] * new_den + factor * step
+            other_den = den[other] * new_den
+            if new_den != 1:
+                for var in other_row:
+                    other_row[var] *= new_den
             for var, c in new_row.items():
-                merged = radd(other_row.get(var, ZERO), rmul(factor, c))
-                if is_zero(merged):
-                    other_row.pop(var, None)
-                else:
+                merged = other_row.get(var, 0) + factor * c
+                if merged:
                     other_row[var] = merged
-
-    def _pivot_and_update(self, basic: int, nonbasic: int, value: Rat) -> None:
-        row = self._rows[basic]
-        coeff = row[nonbasic]
-        theta = rdiv(rsub(value, self._assign[basic]), coeff)
-        self._assign[basic] = value
-        self._assign[nonbasic] = radd(self._assign[nonbasic], theta)
-        for other, other_row in self._rows.items():
-            if other == basic:
-                continue
-            c = other_row.get(nonbasic)
-            if c is not None:
-                self._assign[other] = radd(self._assign[other], rmul(c, theta))
-        self._pivot(basic, nonbasic)
+                else:
+                    del other_row[var]
+            if other_den > 1:
+                common = gcd(other_den, *other_row.values())
+                if common > 1:
+                    other_den //= common
+                    other_num //= common
+                    for var in other_row:
+                        other_row[var] //= common
+            num[other] = other_num
+            den[other] = other_den
+        rows[nonbasic] = new_row
 
     def check(self) -> bool:
         """Pivot until all bounds hold.
@@ -257,44 +288,41 @@ class Simplex:
 
     def _find_violated_basic(self) -> Optional[Tuple[int, bool]]:
         # Bland's rule: smallest index first, guaranteeing termination.
+        num = self._num
+        den = self._den
+        lower_val = self._lower_val
+        upper_val = self._upper_val
         best = None
         for basic in self._rows:
             if best is not None and basic >= best[0]:
                 continue
-            lower = self._lower_val[basic]
-            if lower is not None and rlt(self._assign[basic], lower):
+            lower = lower_val[basic]
+            if lower is not None and num[basic] < lower * den[basic]:
                 best = (basic, True)
                 continue
-            upper = self._upper_val[basic]
-            if upper is not None and rlt(upper, self._assign[basic]):
+            upper = upper_val[basic]
+            if upper is not None and num[basic] > upper * den[basic]:
                 best = (basic, False)
         return best
 
-    def _find_pivot(self, row: Dict[int, Rat], need_increase: bool) -> Optional[int]:
+    def _find_pivot(self, row: Dict[int, int], need_increase: bool) -> Optional[int]:
+        # A row's variables are nonbasic, so their values are integers.
+        num = self._num
+        lower_val = self._lower_val
+        upper_val = self._upper_val
         best = None
         for nonbasic, coeff in row.items():
             if best is not None and nonbasic >= best:
                 continue
-            positive = coeff[0] > 0
-            if need_increase:
-                can_help = (positive and self._can_increase(nonbasic)) or (
-                    not positive and self._can_decrease(nonbasic)
-                )
+            if (coeff > 0) == need_increase:
+                upper = upper_val[nonbasic]
+                can_help = upper is None or num[nonbasic] < upper
             else:
-                can_help = (positive and self._can_decrease(nonbasic)) or (
-                    not positive and self._can_increase(nonbasic)
-                )
+                lower = lower_val[nonbasic]
+                can_help = lower is None or lower < num[nonbasic]
             if can_help:
                 best = nonbasic
         return best
-
-    def _can_increase(self, var: int) -> bool:
-        upper = self._upper_val[var]
-        return upper is None or rlt(self._assign[var], upper)
-
-    def _can_decrease(self, var: int) -> bool:
-        lower = self._lower_val[var]
-        return lower is None or rlt(lower, self._assign[var])
 
     def _explain(self, basic: int, need_increase: bool) -> List[Bound]:
         """Bounds responsible for the infeasibility of ``basic``'s row."""
@@ -303,19 +331,14 @@ class Simplex:
         assert own is not None
         explanation.append(own)
         for nonbasic, coeff in self._rows[basic].items():
-            positive = coeff[0] > 0
-            if need_increase:
-                blocking = self._upper[nonbasic] if positive else self._lower[nonbasic]
+            if (coeff > 0) == need_increase:
+                blocking = self._upper[nonbasic]
             else:
-                blocking = self._lower[nonbasic] if positive else self._upper[nonbasic]
+                blocking = self._lower[nonbasic]
             assert blocking is not None, "pivot search said this bound blocks"
             explanation.append(blocking)
         return explanation
 
-    def raw_value(self, var: int) -> Rat:
-        """The current assignment of ``var``, as an unnormalised rational."""
-        return self._assign[var]
-
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
+    def raw_value(self, var: int) -> Tuple[int, int]:
+        """The current assignment of ``var`` as ``(num, den)``, ``den > 0``."""
+        return self._num[var], self._den[var]
