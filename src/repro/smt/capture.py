@@ -217,6 +217,7 @@ class ReplayReport:
     entries: int = 0
     files: int = 0
     skipped: int = 0  # aborted captures (see ABORTED_STATUSES), not replayed
+    pivots: int = 0  # simplex pivots of the replayed solves
     divergences: List[Divergence] = field(default_factory=list)
     captured_walls: List[float] = field(default_factory=list)
     replayed_walls: List[float] = field(default_factory=list)
@@ -346,6 +347,7 @@ def replay_entry(
     queries answer from cache, and the divergence checks still apply to the
     answers the caller would have observed.
     """
+    from repro.smt.simplex import pivots_total
     from repro.smt.solver import SmtSolver, SolverBudgetExceeded
 
     seq = entry.get("seq", f"line {lineno}")
@@ -384,6 +386,7 @@ def replay_entry(
     assume_count = len(query.get("assume", ()))
     asserted = terms[: len(terms) - assume_count] if assume_count else terms
     assumptions = terms[len(terms) - assume_count:] if assume_count else []
+    pivots = pivots_total()
     start = time.monotonic()
     try:
         for term in asserted:
@@ -395,6 +398,7 @@ def replay_entry(
         observed = "budget-exceeded"
         observed_model = None
     replay_wall = time.monotonic() - start
+    report.pivots += pivots_total() - pivots
     report.captured_walls.append(float(entry.get("wall", 0.0)))
     report.replayed_walls.append(replay_wall)
     if observed != status:
@@ -438,6 +442,7 @@ def render_report(report: ReplayReport) -> str:
         + "  ".join(
             f"{k}={v:.6f}s" for k, v in timing_percentiles(report.replayed_walls).items()
         ),
+        f"  simplex pivots {report.pivots}",
     ]
     if report.skipped:
         lines.append(

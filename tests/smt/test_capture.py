@@ -61,6 +61,8 @@ class TestRoundTrip:
         rendered = capture.render_report(report)
         assert "zero divergences" in rendered
         assert "p50=" in rendered and "p99=" in rendered
+        assert report.pivots > 0
+        assert f"  simplex pivots {report.pivots}\n" in rendered
 
     def test_cli_single_run_captures_and_replays(self, tmp_path, capsys):
         from repro.cli import main
