@@ -237,7 +237,9 @@ class Simplex:
         self._is_basic[basic] = False
         self._is_basic[nonbasic] = True
         # Substitute into every other row mentioning `nonbasic`, over the
-        # product of the two denominators, then back to lowest terms.
+        # product of the two denominators, then back to lowest terms.  The
+        # numerator is the row applied to integer values, so the gcd of the
+        # row divides it too.
         step = sign * gap
         for other, other_row in rows.items():
             factor = other_row.pop(nonbasic, None)
