@@ -13,14 +13,15 @@ the tableau and the assignment, so a caller exploring nearby bound sets
 (branch-and-bound) re-checks from the last feasible basis instead of from
 scratch.
 
-The arithmetic is fraction-free.  Each tableau row is a list of integers
-over one positive row denominator, ``den * basic = sum(a_j * x_j)``, kept
-in lowest terms by one ``gcd`` per row a pivot touches.  Bounds and slack
-coefficients are integers, and a nonbasic variable always sits on an
-integer (zero, or the bound it was last moved to), so every assignment is
-an integer numerator over its row's denominator.  Each row's key order is
-part of the contract: :meth:`Simplex._explain` walks it, and that order
-becomes the conflict, the unsat core and the DPLL(T) lemma.
+The arithmetic is fraction-free.  Each tableau row maps nonbasic variables
+to integer coefficients over one positive row denominator,
+``den * basic = sum(a_j * x_j)``, kept in lowest terms by one ``gcd`` per
+row a pivot touches.  Bounds and slack coefficients are integers, and a
+nonbasic variable always sits on an integer (zero, or the bound it was last
+moved to), so every assignment is an integer numerator over its row's
+denominator.  Each row's key order is part of the contract:
+:meth:`Simplex._explain` walks it, and that order becomes the conflict, the
+unsat core and the DPLL(T) lemma.
 """
 
 from __future__ import annotations
@@ -109,23 +110,21 @@ class Simplex:
         for var, coeff in combo.items():
             if not coeff:
                 continue
-            if not is_basic[var]:
-                merged = row.get(var, 0) + coeff * row_den
-                if merged:
-                    row[var] = merged
-                else:
-                    del row[var]
-                continue
-            # Add coeff * (var's row / its den) over the common multiple.
-            inner_den = den[var]
-            common = row_den * inner_den // gcd(row_den, inner_den)
-            if common != row_den:
-                scale = common // row_den
-                for key in row:
-                    row[key] *= scale
-                row_den = common
-            factor = coeff * (common // inner_den)
-            for inner_var, inner_coeff in self._rows[var].items():
+            if is_basic[var]:
+                # Add coeff * (var's row / its den) over the common multiple.
+                inner_den = den[var]
+                common = row_den * inner_den // gcd(row_den, inner_den)
+                if common != row_den:
+                    scale = common // row_den
+                    for key in row:
+                        row[key] *= scale
+                    row_den = common
+                factor = coeff * (common // inner_den)
+                terms = self._rows[var].items()
+            else:
+                factor = row_den
+                terms = ((var, coeff),)
+            for inner_var, inner_coeff in terms:
                 merged = row.get(inner_var, 0) + factor * inner_coeff
                 if merged:
                     row[inner_var] = merged
@@ -219,17 +218,11 @@ class Simplex:
         # because the old one was.  ``gap / coeff`` is the step of nonbasic.
         basic_den = den[basic]
         gap = value * basic_den - num[basic]
-        if coeff > 0:
-            new_row = {basic: basic_den}
-            for var, c in row.items():
-                new_row[var] = -c
-            new_den = coeff
-            sign = 1
-        else:
-            new_row = {basic: -basic_den}
-            new_row.update(row)
-            new_den = -coeff
-            sign = -1
+        sign = 1 if coeff > 0 else -1
+        new_den = sign * coeff
+        new_row = {basic: sign * basic_den}
+        for var, c in row.items():
+            new_row[var] = -sign * c
         num[basic] = value
         den[basic] = 1
         num[nonbasic] = sign * (num[nonbasic] * coeff + gap)
