@@ -147,7 +147,11 @@ class TelemetryServer:
                 match = pattern.match(path)
                 if match is None:
                     continue
-                body = self._read_body(request) if method == "POST" else None
+                body = None
+                if method == "POST":
+                    body = self._read_body(request)
+                    if body is None:
+                        return
                 handler(request, body, **match.groupdict())
                 return
             if method == "GET" and path == "/metrics":
@@ -181,12 +185,24 @@ class TelemetryServer:
             known.append(pattern.pattern.replace("\\", "").rstrip("$"))
         return known
 
-    @staticmethod
-    def _read_body(request: BaseHTTPRequestHandler) -> bytes:
-        length = int(request.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return b""
-        return request.rfile.read(min(length, MAX_BODY_BYTES))
+    @classmethod
+    def _read_body(cls, request: BaseHTTPRequestHandler) -> Optional[bytes]:
+        """The request body, or None after refusing it with a 400 or 413.
+
+        A refused body is left unread, so the reply closes the connection:
+        its bytes must not be parsed as the next request.
+        """
+        declared = (request.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            code, error = 400, f"bad Content-Length: {declared!r}"
+        elif int(declared) > MAX_BODY_BYTES:
+            code, error = 413, (f"body of {declared} bytes is over the "
+                                f"{MAX_BODY_BYTES}-byte limit")
+        else:
+            return request.rfile.read(int(declared))
+        cls.reply_json(request, code, {"error": error},
+                       headers={"Connection": "close"})
+        return None
 
     def _render_metrics(self) -> str:
         if self.metrics_fn is None:

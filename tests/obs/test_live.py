@@ -1,13 +1,19 @@
 """Live telemetry HTTP endpoint (repro.obs.live)."""
 
+import http.client
 import json
 import re
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.obs.live import PROMETHEUS_CONTENT_TYPE, TelemetryServer
+from repro.obs.live import (
+    MAX_BODY_BYTES,
+    PROMETHEUS_CONTENT_TYPE,
+    TelemetryServer,
+)
 
 
 def get(server, path):
@@ -24,6 +30,37 @@ def post(server, path, data, content_type="application/json"):
     )
     with urllib.request.urlopen(request, timeout=5.0) as response:
         return response.status, response.headers, response.read().decode()
+
+
+def raw_post(server, content_length):
+    """POST ``/v1/echo`` declaring ``content_length`` but sending no body.
+
+    Returns the reply's status and JSON body, and whether the server then
+    closed the connection.
+    """
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5.0) as sock:
+        sock.sendall(
+            f"POST /v1/echo HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode()
+        )
+        reply = http.client.HTTPResponse(sock)
+        reply.begin()
+        payload = json.loads(reply.read())
+        sock.settimeout(1.0)
+        try:
+            closed = sock.recv(1) == b""
+        except TimeoutError:
+            closed = False
+    return reply.status, payload, closed
+
+
+def add_echo_route(server, seen):
+    def handler(request, body):
+        seen.append(body)
+        TelemetryServer.reply_json(request, 201, {"ok": True})
+
+    server.add_route("POST", "/v1/echo", handler)
 
 
 class TestTelemetryServer:
@@ -164,6 +201,27 @@ class TestRoutes:
         assert status == 201
         assert json.loads(body) == {"ok": True}
         assert seen["body"] == b'{"x": 1}'
+
+    def test_oversize_body_is_413_and_closes(self):
+        seen = []
+        with TelemetryServer() as server:
+            add_echo_route(server, seen)
+            status, payload, closed = raw_post(server, MAX_BODY_BYTES + 100)
+        assert status == 413
+        assert "limit" in payload["error"]
+        assert closed, "unread body bytes would be parsed as a request"
+        assert seen == []
+
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_bad_content_length_is_400_and_closes(self, declared):
+        seen = []
+        with TelemetryServer() as server:
+            add_echo_route(server, seen)
+            status, payload, closed = raw_post(server, declared)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert closed
+        assert seen == []
 
     def test_regex_route_extracts_path_params(self):
         def handler(request, body, job_id):
