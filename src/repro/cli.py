@@ -703,22 +703,6 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         "explain` / `dryadsynth profile --trace-chrome`",
     )
     parser.add_argument(
-        "--slo-objective",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="latency objective for the SLO layer (default: the per-job "
-        "timeout)",
-    )
-    parser.add_argument(
-        "--slo-target",
-        type=float,
-        default=0.95,
-        metavar="FRACTION",
-        help="fraction of requests that must meet the objective "
-        "(default: 0.95)",
-    )
-    parser.add_argument(
         "--max-rss-mb",
         type=float,
         default=None,
@@ -734,18 +718,10 @@ def _serve_main(argv) -> int:
 
     from repro import obs
     from repro.serve import ServeSettings, SynthesisDaemon, build_server
-    from repro.serve.slo import SloPolicy
     from repro.service.cache import ResultCache
 
     args = build_serve_arg_parser().parse_args(argv)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    slo = SloPolicy(
-        objective_seconds=(
-            args.slo_objective if args.slo_objective is not None
-            else args.timeout
-        ),
-        target=args.slo_target,
-    )
     with _json_logging(args), obs.recording() as recorder:
         settings = ServeSettings(
             workers=args.jobs,
@@ -757,7 +733,6 @@ def _serve_main(argv) -> int:
             flight_dir=args.flight_dir,
             retries=args.retries,
             telemetry=args.telemetry,
-            slo=slo,
             max_rss_mb=args.max_rss_mb,
         )
         daemon = SynthesisDaemon(settings)
@@ -1198,18 +1173,11 @@ def _smt_replay_main(argv) -> int:
     return 0
 
 
-def _top_main(argv) -> int:
-    from repro.serve.top import main as top_main
-
-    return top_main(argv)
-
-
 #: ``dryadsynth <name> ...`` -> handler of the remaining arguments; anything
 #: else is the single-problem command line.
 SUBCOMMANDS = {
     "batch": _batch_main,
     "serve": _serve_main,
-    "top": _top_main,
     "profile": _profile_main,
     "flame": _flame_main,
     "postmortem": _postmortem_main,

@@ -49,7 +49,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    QuantileSketch,
 )
 from repro.obs.spans import (
     NULL_SPAN,
@@ -64,7 +63,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ObsEvent",
-    "QuantileSketch",
     "Span",
     "SpanRecorder",
     "active",

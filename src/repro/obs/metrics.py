@@ -58,6 +58,7 @@ METRIC_HELP: Dict[str, str] = {
     "pool.children_peak_rss_bytes":
         "getrusage(RUSAGE_CHILDREN) high-water — cross-checks worker peaks",
     "pool.oom_budget_kills": "workers terminated for exceeding --max-rss-mb",
+    "serve.latency_seconds": "submit-to-done latency of served requests",
 }
 
 
@@ -122,128 +123,6 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
-class QuantileSketch:
-    """A mergeable log-bucketed quantile sketch (HDR-histogram flavoured).
-
-    Latency percentiles need *streaming* estimation under the same
-    constraints as the rest of the registry: bounded memory no matter how
-    many samples arrive, and a cross-process merge so worker/daemon/client
-    sketches fold into fleet-wide quantiles.  Fixed-bound histograms can't
-    answer "p99" with useful resolution across four decades of latency, and
-    raw sample lists grow without bound — so this sketch buckets values on a
-    geometric grid (4% growth per bucket → ~2% worst-case relative error,
-    at most ~470 sparse buckets over 100µs..10000s) like an HDR histogram,
-    and merges bucket-wise like a t-digest, keeping exact min/max/sum/count
-    alongside.
-
-    Quantile queries interpolate at the geometric midpoint of the selected
-    bucket and clamp into the exact observed ``[min, max]``, so degenerate
-    streams (all-equal samples, tiny counts) report exact values.
-    """
-
-    #: Values at or below this land in the underflow bucket (index 0).
-    MIN_TRACKABLE = 1e-4
-    #: Values above this are clamped into the final bucket.
-    MAX_TRACKABLE = 1e4
-    #: Per-bucket geometric growth factor (bounds the relative error).
-    GROWTH = 1.04
-    _LOG_GROWTH = math.log(GROWTH)
-
-    __slots__ = ("name", "buckets", "count", "sum", "min", "max")
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.buckets: Dict[int, int] = {}
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = 0.0
-
-    def _index(self, value: float) -> int:
-        if value <= self.MIN_TRACKABLE:
-            return 0
-        clamped = min(value, self.MAX_TRACKABLE)
-        return 1 + int(math.log(clamped / self.MIN_TRACKABLE) / self._LOG_GROWTH)
-
-    def _bucket_value(self, index: int) -> float:
-        if index <= 0:
-            return self.MIN_TRACKABLE
-        # Geometric midpoint of [MIN·g^(i-1), MIN·g^i].
-        return self.MIN_TRACKABLE * math.exp((index - 0.5) * self._LOG_GROWTH)
-
-    def observe(self, value: float) -> None:
-        value = max(0.0, float(value))
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        index = self._index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def quantile(self, q: float) -> float:
-        """The estimated ``q``-quantile (0..1) of everything observed."""
-        if not self.count:
-            return 0.0
-        q = min(1.0, max(0.0, q))
-        target = q * self.count
-        cumulative = 0
-        estimate = self.min
-        for index in sorted(self.buckets):
-            cumulative += self.buckets[index]
-            if cumulative >= target:
-                estimate = self._bucket_value(index)
-                break
-        return min(self.max, max(self.min, estimate))
-
-    def percentiles(self) -> Dict[str, float]:
-        """The dashboard staples, rounded for display."""
-        return {
-            key: round(self.quantile(q), 6)
-            for key, q in (
-                ("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99),
-            )
-        }
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    # -- Cross-process merge ---------------------------------------------------
-
-    def to_json(self) -> Dict:
-        return {
-            "buckets": {str(i): c for i, c in sorted(self.buckets.items())},
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
-
-    def merge(self, data: Optional[Dict]) -> None:
-        """Fold a serialized sketch (``to_json`` output) into this one."""
-        if not data:
-            return
-        for key, count in data.get("buckets", {}).items():
-            index = int(key)
-            self.buckets[index] = self.buckets.get(index, 0) + int(count)
-        self.count += int(data.get("count", 0))
-        self.sum += float(data.get("sum", 0.0))
-        other_min = data.get("min")
-        other_max = data.get("max")
-        if other_min is not None and other_min < self.min:
-            self.min = float(other_min)
-        if other_max is not None and other_max > self.max:
-            self.max = float(other_max)
-
-    @staticmethod
-    def from_json(data: Optional[Dict], name: str = "") -> "QuantileSketch":
-        sketch = QuantileSketch(name)
-        sketch.merge(data)
-        return sketch
-
-
 class MetricsRegistry:
     """A process-local namespace of metrics, snapshot-able and mergeable."""
 
@@ -251,7 +130,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._sketches: Dict[str, QuantileSketch] = {}
 
     # -- Accessors (memoized; repeated lookups return the same instrument) ----
 
@@ -275,17 +153,8 @@ class MetricsRegistry:
             metric = self._histograms[name] = Histogram(name, bounds)
         return metric
 
-    def sketch(self, name: str) -> QuantileSketch:
-        metric = self._sketches.get(name)
-        if metric is None:
-            metric = self._sketches[name] = QuantileSketch(name)
-        return metric
-
     def __len__(self) -> int:
-        return (
-            len(self._counters) + len(self._gauges)
-            + len(self._histograms) + len(self._sketches)
-        )
+        return len(self._counters) + len(self._gauges) + len(self._histograms)
 
     # -- Serialization ---------------------------------------------------------
 
@@ -302,9 +171,6 @@ class MetricsRegistry:
                     "count": h.count,
                 }
                 for n, h in sorted(self._histograms.items())
-            },
-            "sketches": {
-                n: s.to_json() for n, s in sorted(self._sketches.items())
             },
         }
 
@@ -325,8 +191,6 @@ class MetricsRegistry:
             # Mismatched bounds: totals still merge, buckets are dropped.
             hist.sum += data.get("sum", 0.0)
             hist.count += data.get("count", 0)
-        for name, data in snapshot.get("sketches", {}).items():
-            self.sketch(name).merge(data)
 
     # -- Prometheus text dump --------------------------------------------------
 
@@ -365,16 +229,6 @@ class MetricsRegistry:
             lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
             lines.append(f"{metric}_sum {_format(hist.sum)}")
             lines.append(f"{metric}_count {hist.count}")
-        for name, sketch in sorted(self._sketches.items()):
-            metric = prefix + _sanitize(name)
-            head(metric, name, "summary")
-            for q in (0.5, 0.9, 0.95, 0.99):
-                lines.append(
-                    f'{metric}{{quantile="{_format(q)}"}} '
-                    f"{_format(sketch.quantile(q))}"
-                )
-            lines.append(f"{metric}_sum {_format(sketch.sum)}")
-            lines.append(f"{metric}_count {sketch.count}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 

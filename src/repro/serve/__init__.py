@@ -13,15 +13,13 @@ stop admitting, finish every accepted job, persist results, exit.
 Modules:
 
 - :mod:`repro.serve.protocol` — request/ticket/record shapes shared by the
-  daemon, the HTTP layer and the load generator;
+  daemon and the HTTP layer;
 - :mod:`repro.serve.queues` — per-client priority queues under the
   weighted-round-robin :class:`~repro.serve.queues.FairScheduler`;
 - :mod:`repro.serve.daemon` — :class:`~repro.serve.daemon.SynthesisDaemon`,
   the admission/dispatch/drain state machine;
 - :mod:`repro.serve.http` — the ``/v1`` API mounted on the telemetry
-  server (one listener also serves ``/metrics``, ``/jobs``, ``/healthz``);
-- :mod:`repro.serve.loadgen` — the concurrent-client load generator that
-  measures p50/p99 submit-to-result latency.
+  server (one listener also serves ``/metrics``, ``/jobs``, ``/healthz``).
 
 See docs/SERVICE.md ("Running the daemon") for endpoints and semantics.
 """

@@ -50,7 +50,6 @@ from repro.obs.log import jlog
 from repro.serve import protocol
 from repro.serve.protocol import BadRequest, SubmitRequest
 from repro.serve.queues import FairScheduler, QueueEntry
-from repro.serve.slo import SloPolicy, SloTracker
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobResult, SynthesisJob
 from repro.service.pool import WorkerPool
@@ -61,6 +60,17 @@ logger = logging.getLogger(__name__)
 RUNNING = "running"
 DRAINING = "draining"
 STOPPED = "stopped"
+
+#: The pool's ``/jobs`` view keeps at most this many records and drops a
+#: finished one after this many seconds.
+LIVE_CAP = 2048
+LIVE_TTL = 900.0
+#: Served jobs kept for ``GET /v1/jobs/<id>``; the oldest terminal ones go
+#: first once the history is over this.
+HISTORY_CAP = 4096
+#: Terminal jobs surfaced in the ``/v1/stats`` ``recent`` block — the
+#: trace-id lookup surface for operators.
+RECENT_CAP = 32
 
 
 class ServeSettings:
@@ -77,11 +87,6 @@ class ServeSettings:
         flight_dir: Optional[str] = None,
         retries: int = 1,
         telemetry: bool = False,
-        live_cap: int = 2048,
-        live_ttl: Optional[float] = 900.0,
-        history_cap: int = 4096,
-        slo: Optional[SloPolicy] = None,
-        recent_cap: int = 32,
         max_rss_mb: Optional[float] = None,
         leak_window: int = 16,
         leak_slope_mb: float = 8.0,
@@ -97,18 +102,6 @@ class ServeSettings:
         self.flight_dir = flight_dir
         self.retries = retries
         self.telemetry = telemetry
-        self.live_cap = live_cap
-        self.live_ttl = live_ttl
-        #: Terminal served jobs kept for ``GET /v1/jobs/<id>`` history.
-        self.history_cap = max(16, history_cap)
-        #: Latency objective the SLO layer measures against.  Defaults to
-        #: "95% of requests finish within the per-job timeout".
-        self.slo = slo if slo is not None else SloPolicy(
-            objective_seconds=self.timeout
-        )
-        #: Terminal jobs surfaced in the ``/v1/stats`` ``recent`` block —
-        #: the trace-id lookup surface for operators.
-        self.recent_cap = max(4, recent_cap)
         #: Per-worker soft RSS budget (MiB) forwarded to the pool; a worker
         #: over budget is killed and its job completes as ``oom_budget``.
         self.max_rss_mb = max_rss_mb
@@ -247,8 +240,8 @@ class SynthesisDaemon:
             max_retries=self.settings.retries,
             flight_dir=self.settings.flight_dir,
             queue_size=self.settings.max_queue,
-            live_cap=self.settings.live_cap,
-            live_ttl=self.settings.live_ttl,
+            live_cap=LIVE_CAP,
+            live_ttl=LIVE_TTL,
             # The daemon re-roots each worker tree under its own
             # ``serve.request`` span in _finish; letting the pool merge too
             # would duplicate every span.
@@ -258,10 +251,7 @@ class SynthesisDaemon:
         #: Leak watch ring: ``(completed_count, daemon_rss_bytes)`` samples,
         #: one per finished request (see :meth:`_leak_slope`).
         self._rss_samples: deque = deque(maxlen=self.settings.leak_window)
-        #: Streaming latency sketches + SLO burn accounting (daemon-owned,
-        #: always on; guarded by ``self._lock``).
-        self.slo = SloTracker(self.settings.slo)
-        self._recent: deque = deque(maxlen=self.settings.recent_cap)
+        self._recent: deque = deque(maxlen=RECENT_CAP)
         self.scheduler: FairScheduler = FairScheduler()
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
@@ -405,7 +395,7 @@ class SynthesisDaemon:
     def _register_locked(self, serve_job: ServeJob) -> None:
         self._jobs[serve_job.id] = serve_job
         self._job_order.append(serve_job.id)
-        overflow = len(self._job_order) - self.settings.history_cap
+        overflow = len(self._job_order) - HISTORY_CAP
         if overflow > 0:
             kept: List[str] = []
             for job_id in self._job_order:
@@ -534,7 +524,6 @@ class SynthesisDaemon:
         serve_job.result = _result_view(result)
         serve_job.from_cache = bool(result.from_cache)
         serve_job.finished_at = time.time()
-        latency = serve_job.latency or 0.0
         serve_job.record_event(protocol.DONE, status=result.status,
                                from_cache=bool(result.from_cache),
                                trace_id=serve_job.trace_id)
@@ -544,8 +533,6 @@ class SynthesisDaemon:
         rss = rusage.process_rss_bytes()
         with self._lock:
             self.completed += 1
-            self.slo.observe(latency, serve_job.client, serve_job.priority,
-                             time.monotonic(), registry=registry)
             self._remember_locked(serve_job, status=result.status,
                                   state=protocol.DONE)
             if rss is not None:
@@ -641,12 +628,11 @@ class SynthesisDaemon:
             return self._jobs.get(serve_id)
 
     def stats(self) -> Dict:
-        now = time.monotonic()
         with self._lock:
             queued = len(self.scheduler)
             payload = {
                 "state": self.state,
-                "uptime_seconds": round(now - self.started_at, 3),
+                "uptime_seconds": round(time.monotonic() - self.started_at, 3),
                 "accepted": self.accepted,
                 "completed": self.completed,
                 "rejected": self.rejected,
@@ -656,8 +642,6 @@ class SynthesisDaemon:
                 "inflight": self._inflight,
                 "max_queue": self.settings.max_queue,
                 "queue_depths": self.scheduler.depths(),
-                "latency": self.slo.latency_snapshot(),
-                "slo": self.slo.snapshot(now),
                 "recent": list(self._recent),
             }
         payload["pool"] = self.pool.pool_stats()

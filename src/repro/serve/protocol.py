@@ -1,10 +1,10 @@
 """Wire shapes of the ``/v1`` synthesis service API.
 
 One place defines what a submission looks like and what states a served job
-moves through, so the daemon, the HTTP layer, the load generator and the
-tests all agree.  Everything is plain dicts/strings at the boundary — the
-service keeps the repo's zero-dependency promise, so "schema" here means
-careful parsing with explicit errors, not a validation library.
+moves through, so the daemon, the HTTP layer and the tests all agree.
+Everything is plain dicts/strings at the boundary — the service keeps the
+repo's zero-dependency promise, so "schema" here means careful parsing
+with explicit errors, not a validation library.
 
 A submission is either:
 

@@ -1,11 +1,11 @@
-"""Concurrent scrapes against a daemon under load.
+"""Concurrent submitters and scrapes against a daemon under load.
 
 ``/metrics`` and ``/v1/stats`` are read paths that race the dispatcher and
-pool threads mutating the metrics registry, the SLO tracker, and the recent
-ring.  These tests hammer both endpoints from several threads while jobs
-flow, asserting every response parses (no torn reads, no 500s), and
-exercise the retried-scrape path ``_render_metrics`` takes when a dict
-mutates mid-dump.
+pool threads mutating the metrics registry, the pool's job view and the
+recent ring.  These tests submit from several client threads while others
+hammer both endpoints, asserting every response parses (no torn reads, no
+500s) and every completion is counted once, and exercise the retried-scrape
+path ``_render_metrics`` takes when a dict mutates mid-dump.
 """
 
 import threading
@@ -15,13 +15,20 @@ import pytest
 
 from repro.obs.live import TelemetryServer
 
-from tests.serve.test_daemon import get_json, post_json, stack, wait_terminal  # noqa: F401
+from tests.serve.test_daemon import (  # noqa: F401
+    get_json,
+    latency_count,
+    post_json,
+    stack,
+    wait_terminal,
+)
 
 
 class TestConcurrentScrapes:
     def test_scrapes_never_tear_while_jobs_flow(self, stack):  # noqa: F811
         daemon, server = stack(workers=2, solver="debug-sleep@0.05",
                                max_queue=32)
+        counted = latency_count(server.url)
         errors = []
         stop = threading.Event()
 
@@ -32,7 +39,8 @@ class TestConcurrentScrapes:
                     assert status == 200
                     # Torn reads would show up as inconsistent JSON or a
                     # missing always-present block.
-                    assert "slo" in payload and "latency" in payload
+                    for block in ("pool", "memory", "recent"):
+                        assert block in payload, block
                     assert payload["completed"] <= payload["accepted"]
                 except Exception as exc:  # noqa: BLE001 - collected below
                     errors.append(exc)
@@ -52,43 +60,56 @@ class TestConcurrentScrapes:
                     errors.append(exc)
                     return
 
+        views = []
+
+        def submit(client):
+            # Closed loop: each client waits for a reply before its next job.
+            try:
+                for index in range(3):
+                    status, _, payload = post_json(
+                        server.url,
+                        {"problem": f"{client}-{index}", "client": client},
+                    )
+                    assert status == 202, payload
+                    views.append(wait_terminal(server.url, payload["id"]))
+            except Exception as exc:  # noqa: BLE001 - collected below
+                errors.append(exc)
+
         scrapers = [threading.Thread(target=scrape_stats) for _ in range(2)]
         scrapers += [threading.Thread(target=scrape_metrics) for _ in range(2)]
-        for thread in scrapers:
+        clients = [threading.Thread(target=submit, args=(f"c{k}",))
+                   for k in range(4)]
+        for thread in scrapers + clients:
             thread.start()
         try:
-            ids = []
-            for index in range(12):
-                status, _, payload = post_json(
-                    server.url,
-                    {"problem": f"p{index}", "client": f"c{index % 3}"},
-                )
-                if status == 202:
-                    ids.append(payload["id"])
-            for serve_id in ids:
-                wait_terminal(server.url, serve_id)
+            for thread in clients:
+                thread.join(timeout=60.0)
         finally:
             stop.set()
             for thread in scrapers:
                 thread.join(timeout=10.0)
         assert not errors, errors
-        # The scraped surfaces saw the completed work.
+        assert len(views) == 12
+        assert {view["state"] for view in views} == {"done"}
+        # The scraped surfaces saw the completed work, each job once.
         _, stats = get_json(server.url, "/v1/stats")
-        assert stats["completed"] == len(ids)
-        assert stats["latency"]["overall"]["count"] == len(ids)
+        assert stats["accepted"] == stats["completed"] == 12
+        assert latency_count(server.url) == counted + 12
 
     def test_stats_blocks_consistent_after_load(self, stack):  # noqa: F811
         daemon, server = stack(workers=2)
+        counted = latency_count(server.url)
         for index in range(4):
             _, _, payload = post_json(
                 server.url, {"problem": f"q{index}", "client": "alice"}
             )
             wait_terminal(server.url, payload["id"])
         _, stats = get_json(server.url, "/v1/stats")
-        assert stats["slo"]["observed"] == 4
-        assert stats["latency"]["per_client"]["alice"]["count"] == 4
+        assert stats["completed"] == 4
+        assert latency_count(server.url) == counted + 4
         assert len(stats["recent"]) == 4
         assert {entry["state"] for entry in stats["recent"]} == {"done"}
+        assert {entry["client"] for entry in stats["recent"]} == {"alice"}
 
 
 class TestRetriedScrape:
