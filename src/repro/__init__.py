@@ -14,6 +14,7 @@ Quick start::
     print(outcome.solution.define_fun())
 """
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.sygus.parser import parse_sygus_file, parse_sygus_text
@@ -37,7 +38,7 @@ def solve_sygus(
     if config is None:
         config = SynthConfig(timeout=timeout)
     elif timeout is not None:
-        config.timeout = timeout
+        config = replace(config, timeout=timeout)
     return CooperativeSynthesizer(config).synthesize(problem)
 
 

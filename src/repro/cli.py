@@ -109,40 +109,12 @@ def _add_telemetry_out_args(parser: argparse.ArgumentParser) -> None:
         help="record metrics and write a Prometheus text dump to PATH",
     )
     parser.add_argument(
-        "--log-json",
-        metavar="PATH",
-        default=None,
-        help="emit structured JSON log lines (repro-log/1) to PATH, "
-        "or to stderr with '-'",
-    )
-    parser.add_argument(
         "--trace-chrome",
         metavar="PATH",
         default=None,
         help="export the recorded span stream as a Chrome/Perfetto "
         "trace_event file (open in chrome://tracing or ui.perfetto.dev)",
     )
-
-
-@contextlib.contextmanager
-def _json_logging(args):
-    """Attach the ``--log-json`` handler for the duration of a command."""
-    target = getattr(args, "log_json", None)
-    if not target:
-        yield None
-        return
-    from repro.obs.log import configure_json_logging, remove_json_logging
-
-    try:
-        handler = configure_json_logging(target)
-    except OSError as exc:
-        print(f"warning: cannot open log target: {exc}", file=sys.stderr)
-        yield None
-        return
-    try:
-        yield handler
-    finally:
-        remove_json_logging(handler)
 
 
 def _write_telemetry(recorder, args) -> None:
@@ -203,9 +175,7 @@ def main(argv: Optional[list] = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] in SUBCOMMANDS:
         return SUBCOMMANDS[argv[0]](argv[1:])
-    args = build_arg_parser().parse_args(argv)
-    with _json_logging(args):
-        return _single_main(args)
+    return _single_main(build_arg_parser().parse_args(argv))
 
 
 def _single_main(args) -> int:
@@ -418,9 +388,6 @@ def _batch_main(argv) -> int:
         args.telemetry or args.spans_out or args.metrics_out or serve
         or sample
     )
-    # Workers under the spawn start method re-attach logging from the job's
-    # params; `-` is parent-only (worker stderr is not the terminal).
-    params = {"log_json": args.log_json} if args.log_json else {}
     jobs = []
     for path in files:
         try:
@@ -429,7 +396,6 @@ def _batch_main(argv) -> int:
                 solver=args.solver,
                 timeout=args.timeout,
                 telemetry=telemetry,
-                params=dict(params),
             )
             job.sample = sample
             jobs.append(job)
@@ -454,47 +420,46 @@ def _batch_main(argv) -> int:
         flight_dir=args.flight_dir,
         max_rss_mb=args.max_rss_mb,
     )
-    with _json_logging(args):
-        if telemetry:
-            from repro import obs
+    if telemetry:
+        from repro import obs
 
-            # The parent-side recorder is the merge target for every
-            # worker's shipped span tree and metric snapshot (see
-            # WorkerPool.complete) — and what /metrics scrapes serve.
-            with obs.recording() as recorder:
-                server = _start_telemetry_server(args, pool, recorder)
+        # The parent-side recorder is the merge target for every
+        # worker's shipped span tree and metric snapshot (see
+        # WorkerPool.complete) — and what /metrics scrapes serve.
+        with obs.recording() as recorder:
+            server = _start_telemetry_server(args, pool, recorder)
+            try:
+                with pool:
+                    results = pool.run(jobs, progress=progress)
+            finally:
+                if server is not None:
+                    server.stop()
+        _write_telemetry(recorder, args)
+        if args.collapsed_out:
+            from repro.obs.sampler import write_collapsed
+
+            profile = getattr(recorder, "profile", None)
+            if profile is not None and profile.samples:
                 try:
-                    with pool:
-                        results = pool.run(jobs, progress=progress)
-                finally:
-                    if server is not None:
-                        server.stop()
-            _write_telemetry(recorder, args)
-            if args.collapsed_out:
-                from repro.obs.sampler import write_collapsed
-
-                profile = getattr(recorder, "profile", None)
-                if profile is not None and profile.samples:
-                    try:
-                        write_collapsed(profile, args.collapsed_out)
-                        print(
-                            f"; wrote {profile.samples} samples over "
-                            f"{len(profile.pids)} process(es) to "
-                            f"{args.collapsed_out}",
-                            file=sys.stderr,
-                        )
-                    except OSError as exc:
-                        print(f"warning: cannot write collapsed profile: "
-                              f"{exc}", file=sys.stderr)
-                else:
+                    write_collapsed(profile, args.collapsed_out)
                     print(
-                        "warning: no stack samples collected; "
-                        "collapsed profile not written",
+                        f"; wrote {profile.samples} samples over "
+                        f"{len(profile.pids)} process(es) to "
+                        f"{args.collapsed_out}",
                         file=sys.stderr,
                     )
-        else:
-            with pool:
-                results = pool.run(jobs, progress=progress)
+                except OSError as exc:
+                    print(f"warning: cannot write collapsed profile: "
+                          f"{exc}", file=sys.stderr)
+            else:
+                print(
+                    "warning: no stack samples collected; "
+                    "collapsed profile not written",
+                    file=sys.stderr,
+                )
+    else:
+        with pool:
+            results = pool.run(jobs, progress=progress)
     elapsed = time.monotonic() - start
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -688,13 +653,6 @@ def build_serve_arg_parser() -> argparse.ArgumentParser:
         "daemon's /metrics",
     )
     parser.add_argument(
-        "--log-json",
-        metavar="PATH",
-        default=None,
-        help="emit structured JSON log lines (repro-log/1) to PATH, "
-        "or to stderr with '-'",
-    )
-    parser.add_argument(
         "--spans-out",
         metavar="PATH",
         default=None,
@@ -722,7 +680,7 @@ def _serve_main(argv) -> int:
 
     args = build_serve_arg_parser().parse_args(argv)
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    with _json_logging(args), obs.recording() as recorder:
+    with obs.recording() as recorder:
         settings = ServeSettings(
             workers=args.jobs,
             solver=args.solver,

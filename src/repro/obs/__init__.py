@@ -1,6 +1,6 @@
 """``repro.obs`` — low-overhead telemetry for the cooperative solver.
 
-Six layers (see ``docs/OBSERVABILITY.md``):
+Five layers (see ``docs/OBSERVABILITY.md``):
 
 - **Spans** (:mod:`repro.obs.spans`): hierarchical timed regions with typed
   attributes, from the cooperative loop down to individual SMT queries,
@@ -15,8 +15,6 @@ Six layers (see ``docs/OBSERVABILITY.md``):
   On top of the dumps sit the forensics reports: ``dryadsynth explain``
   (:mod:`repro.obs.explain`) for one run and ``dryadsynth diff``
   (:mod:`repro.obs.diff`) for run-over-run regression attribution.
-- **Structured logging** (:mod:`repro.obs.log`): JSON-lines service log
-  with job/problem correlation IDs (``--log-json``).
 - **Live telemetry** (:mod:`repro.obs.live`): an in-process HTTP endpoint
   serving ``/metrics``, ``/healthz`` and ``/jobs`` while a batch runs
   (``dryadsynth batch --serve-telemetry PORT``).

@@ -4,8 +4,9 @@ The daemon (:mod:`repro.serve`) mints one :class:`TraceContext` per HTTP
 submission — or adopts the one the client sent in a ``traceparent`` header —
 and that context is the thread tying the whole request together:
 
-- the admission **audit record** and every scheduler event log line carry
-  ``trace_id`` (via :func:`repro.obs.log.log_context`);
+- the job's view, its ``/v1/stats`` and ``--results-out`` records and
+  its ``queued``, ``dispatched``, ``done`` and ``shed`` events carry
+  ``trace_id``;
 - the context crosses the process boundary in ``SynthesisJob.params``
   (:func:`inject`/:func:`extract`) without touching the job fingerprint;
 - the worker re-roots its :class:`~repro.obs.spans.SpanRecorder` tree under

@@ -37,7 +37,6 @@ order is strictly daemon → pool.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
 import time
@@ -46,15 +45,12 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.obs import trace
-from repro.obs.log import jlog
 from repro.serve import protocol
 from repro.serve.protocol import BadRequest, SubmitRequest
 from repro.serve.queues import FairScheduler, QueueEntry
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobResult, SynthesisJob
 from repro.service.pool import WorkerPool
-
-logger = logging.getLogger(__name__)
 
 #: Daemon lifecycle.
 RUNNING = "running"
@@ -328,7 +324,6 @@ class SynthesisDaemon:
                     self.accepted += 1
                     self.cache_admissions += 1
                 serve_job.from_cache = True
-                self._audit("cache_hit", serve_job)
                 self._finish(serve_job, result)
                 obs.metrics().counter("serve.cache_admissions").inc()
                 return SubmitOutcome(job=serve_job, code=200)
@@ -342,9 +337,6 @@ class SynthesisDaemon:
                     retry_after = self._retry_after_locked()
                     obs.metrics().counter("serve.rejected").inc()
                     self._forget_locked(serve_job)
-                    self._audit("rejected", serve_job, code=429,
-                                retry_after=retry_after,
-                                queued=len(self.scheduler))
                     return SubmitOutcome(
                         code=429,
                         error="queue full and no lower-priority job to shed",
@@ -365,32 +357,9 @@ class SynthesisDaemon:
         serve_job.record_event(protocol.QUEUED, client=request.client,
                                priority=request.priority,
                                trace_id=ctx.trace_id)
-        self._audit(
-            "admitted", serve_job,
-            displaced=shed_job.id if shed_job is not None else None,
-        )
-        jlog(logger, "serve.accepted", serve_id=serve_job.id,
-             client=request.client, problem=request.name,
-             priority=request.priority, trace_id=ctx.trace_id)
         if shed_job is not None:
             self._mark_shed(shed_job, displaced_by=serve_job)
         return SubmitOutcome(job=serve_job, code=202, shed_job=shed_job)
-
-    def _audit(self, decision: str, serve_job: ServeJob, **extra) -> None:
-        """Emit one admission audit record on the structured log stream.
-
-        Decisions: ``admitted`` (with ``displaced`` attribution when the
-        admission shed someone), ``cache_hit``, ``shed`` (with
-        ``displaced_by``), ``rejected`` (with the 429's ``retry_after``).
-        Every record carries the request's ``trace_id``, so the audit log
-        joins against spans, events and ``/v1/stats``.
-        """
-        fields = {k: v for k, v in extra.items() if v is not None}
-        jlog(logger, "serve.audit", decision=decision,
-             serve_id=serve_job.id, client=serve_job.client,
-             problem=serve_job.name, priority=serve_job.priority,
-             trace_id=serve_job.trace_id, **fields)
-        obs.metrics().counter(f"serve.audit.{decision}").inc()
 
     def _register_locked(self, serve_job: ServeJob) -> None:
         self._jobs[serve_job.id] = serve_job
@@ -422,8 +391,7 @@ class SynthesisDaemon:
         eta = per_job * (len(self.scheduler) + 1) / self.settings.workers
         return max(1, min(300, int(eta + 0.5)))
 
-    def _mark_shed(self, serve_job: ServeJob,
-                   displaced_by: Optional[ServeJob] = None) -> None:
+    def _mark_shed(self, serve_job: ServeJob, displaced_by: ServeJob) -> None:
         with self._lock:
             self.shed += 1
             self._pending_jobs.pop(serve_job.id, None)
@@ -432,14 +400,8 @@ class SynthesisDaemon:
         obs.metrics().counter("serve.shed").inc()
         serve_job.record_event(protocol.SHED,
                                reason="displaced by higher-priority job",
+                               displaced_by=displaced_by.id,
                                trace_id=serve_job.trace_id)
-        self._audit(
-            "shed", serve_job,
-            displaced_by=displaced_by.id if displaced_by else None,
-        )
-        jlog(logger, "serve.shed", serve_id=serve_job.id,
-             client=serve_job.client, priority=serve_job.priority,
-             trace_id=serve_job.trace_id)
         self._persist(serve_job)
 
     def _remember_locked(self, serve_job: ServeJob, status: str,
@@ -489,9 +451,6 @@ class SynthesisDaemon:
             serve_job.record_event(protocol.DISPATCHED,
                                    queue_wait=serve_job.queue_wait,
                                    trace_id=serve_job.trace_id)
-            jlog(logger, "serve.dispatched", serve_id=serve_job.id,
-                 client=serve_job.client, queue_wait=serve_job.queue_wait,
-                 trace_id=serve_job.trace_id)
             self.pool.submit(
                 job,
                 on_complete=lambda result, sj=serve_job: self._on_pool_complete(
@@ -544,11 +503,6 @@ class SynthesisDaemon:
                 serve_job.latency
             )
         self._record_request_spans(serve_job, result)
-        jlog(logger, "serve.completed", serve_id=serve_job.id,
-             client=serve_job.client, problem=serve_job.name,
-             status=result.status, latency=serve_job.latency,
-             from_cache=bool(result.from_cache),
-             trace_id=serve_job.trace_id)
         self._persist(serve_job)
 
     def _record_request_spans(self, serve_job: ServeJob,
@@ -784,12 +738,10 @@ class SynthesisDaemon:
                 return
             self.state = DRAINING
             self._work.notify_all()
-        jlog(logger, "serve.draining")
         obs.metrics().counter("serve.drains").inc()
 
     def _finish_drain_locked(self) -> None:
         self.state = STOPPED
-        jlog(logger, "serve.drained", completed=self.completed)
         # Close the journal before announcing: "drained" means persisted.
         with self._results_lock:
             if self._results_handle is not None:

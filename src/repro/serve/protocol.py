@@ -25,7 +25,8 @@ A submission is either:
 Job lifecycle: ``queued`` → ``dispatched`` → ``running`` → ``done``, with
 two admission-time exits — ``done`` immediately on a cache hit, and
 ``shed`` when a full queue drops the lowest-priority entry to admit a
-higher-priority one.  ``done`` and ``shed`` are terminal.
+higher-priority one (the ``shed`` event names it in ``displaced_by``).
+``done`` and ``shed`` are terminal.
 """
 
 from __future__ import annotations

@@ -10,17 +10,13 @@ values never cross the process boundary.
 
 from __future__ import annotations
 
-import logging
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.obs import trace as obs_trace
-from repro.obs.log import ensure_worker_logging, jlog, log_context
 from repro.synth.config import SynthConfig
-
-logger = logging.getLogger(__name__)
 
 # Job outcome statuses (plain strings so JSON round-trips are trivial).
 SOLVED = "solved"
@@ -71,8 +67,8 @@ class SynthesisJob:
     #: Assigned per attempt by the pool when it has a ``flight_dir``; does
     #: not affect the fingerprint.
     flight_journal: Optional[str] = None
-    #: Free-form extras for special solvers (e.g. debug hooks) and worker
-    #: plumbing (``log_json``: re-attach structured logging under spawn).
+    #: Fingerprint-neutral worker plumbing: the daemon's request trace
+    #: context travels here (:func:`repro.obs.trace.inject`).
     params: Dict[str, str] = field(default_factory=dict)
 
     @property
@@ -333,43 +329,30 @@ def execute_job(job: SynthesisJob) -> JobResult:
 
     Never raises: any exception is folded into a ``crashed`` result so a
     worker survives bad jobs (hard crashes — ``os._exit``, OOM kills — are
-    detected by the parent instead).  Execution runs under a
-    :func:`~repro.obs.log.log_context` carrying the job/problem correlation
-    IDs, so every structured log record the solver stack emits below — down
-    to per-query SMT events — is attributable to this job.  When the pool
-    assigned a ``flight_journal``, a :class:`~repro.obs.flight.FlightRecorder`
-    mirrors lifecycle notes and completed spans to disk *before* the solver
-    runs, so even a worker SIGKILLed mid-job leaves a recoverable journal.
+    detected by the parent instead).  When the pool assigned a
+    ``flight_journal``, a :class:`~repro.obs.flight.FlightRecorder` mirrors
+    lifecycle notes and completed spans to disk *before* the solver runs,
+    so even a worker SIGKILLed mid-job leaves a recoverable journal.
     """
     start = time.monotonic()
-    ensure_worker_logging(job.params.get("log_json"))
     flight = _open_flight(job)
-    ctx = obs_trace.extract(job.params)
-    with log_context(job_id=job.job_id or None, problem=job.name,
-                     solver=job.solver,
-                     trace_id=ctx.trace_id if ctx else None):
-        jlog(logger, "job.start", timeout=job.effective_timeout)
-        try:
-            result = _execute_recorded(job, start, flight)
-        except Exception as exc:  # noqa: BLE001 - worker survival boundary
-            result = JobResult(
-                job.job_id,
-                job.name,
-                job.solver,
-                CRASHED,
-                wall_time=time.monotonic() - start,
-                error=f"{type(exc).__name__}: {exc}",
-                failures=[traceback.format_exc(limit=8)],
-            )
-            jlog(logger, "job.crashed", level=logging.ERROR,
-                 error=result.error)
-        jlog(logger, "job.end", status=result.status,
-             wall=round(result.wall_time, 4))
-        if flight is not None:
-            flight.note("job.end", status=result.status,
-                        wall=round(result.wall_time, 4))
-            flight.close()
-        return result
+    try:
+        result = _execute_recorded(job, start, flight)
+    except Exception as exc:  # noqa: BLE001 - worker survival boundary
+        result = JobResult(
+            job.job_id,
+            job.name,
+            job.solver,
+            CRASHED,
+            wall_time=time.monotonic() - start,
+            error=f"{type(exc).__name__}: {exc}",
+            failures=[traceback.format_exc(limit=8)],
+        )
+    if flight is not None:
+        flight.note("job.end", status=result.status,
+                    wall=round(result.wall_time, 4))
+        flight.close()
+    return result
 
 
 def _open_flight(job: SynthesisJob):

@@ -41,7 +41,6 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.obs.log import jlog
 from repro.service.cache import ResultCache
 
 logger = logging.getLogger(__name__)
@@ -67,6 +66,27 @@ class PoolError(RuntimeError):
     """The pool was used after :meth:`WorkerPool.close`."""
 
 
+def _detach_inherited_logging() -> None:
+    """Make logging safe inside a just-forked worker process.
+
+    CPython reinitialises *logging* locks after fork, but not the buffered
+    stream objects handlers write to: if any other parent thread (pool
+    scheduler, daemon dispatcher, HTTP threads) was mid-write at fork
+    time, the inherited ``TextIOWrapper`` lock stays held forever in the
+    child and its first ``flush()`` deadlocks — a worker hanging silently
+    until its hard deadline, then being retried.  So the worker detaches
+    every inherited handler on the root and ``repro`` loggers (without
+    ``close()``: closing flushes, the very call that deadlocks) and parks
+    a :class:`~logging.NullHandler` on ``repro`` so the no-handler
+    fallback never touches the inherited ``sys.stderr`` wrapper.
+    """
+    for name in (None, "repro"):
+        inherited = logging.getLogger(name)
+        for handler in list(inherited.handlers):
+            inherited.removeHandler(handler)
+    logging.getLogger("repro").addHandler(logging.NullHandler())
+
+
 def _worker_main(conn) -> None:
     """Worker loop: receive a job, run it, send the result, repeat.
 
@@ -74,13 +94,7 @@ def _worker_main(conn) -> None:
     only ways a worker stops replying are a hard crash or a hang — both are
     the parent's responsibility.
     """
-    from repro.obs.log import reset_after_fork
-
-    # Under ``fork`` the parent is multi-threaded (pool scheduler, daemon
-    # dispatcher, HTTP threads); inherited handler streams may carry locks
-    # another thread held at fork time, deadlocking this worker's first
-    # log flush.  Rebuild logging before anything below can emit.
-    reset_after_fork()
+    _detach_inherited_logging()
     while True:
         try:
             job = conn.recv()
@@ -629,11 +643,6 @@ class WorkerPool:
             _deadline=worker.deadline,
             _assigned_at=worker.assigned_at,
         )
-        jlog(
-            logger, "job.assigned",
-            job_id=job.job_id, problem=job.name,
-            worker_pid=worker.process.pid, attempt=ticket.attempts,
-        )
         if ticket.on_assign is not None:
             ticket.on_assign(job)
 
@@ -731,14 +740,7 @@ class WorkerPool:
         self._journal_kill(worker, job, reason, status)
         ticket.failures.append(reason)
         self._recover_postmortem(ticket)
-        will_retry = ticket.attempts <= self.max_retries
-        jlog(
-            logger, "job.attempt_failed",
-            job_id=job.job_id, problem=job.name, reason=reason,
-            attempt=ticket.attempts, will_retry=will_retry,
-            postmortem=ticket.postmortem is not None,
-        )
-        if will_retry:
+        if ticket.attempts <= self.max_retries:
             self._live_update(job, state="retrying", worker_pid=None)
             with self._cond:
                 self._inbox.appendleft(ticket)
@@ -811,13 +813,6 @@ class WorkerPool:
         self._live_update(
             job, state="done", status=result.status, worker_pid=None,
             queue_wait=result.queue_wait, _done_at=time.monotonic(),
-        )
-        jlog(
-            logger, "job.completed",
-            job_id=job.job_id, problem=job.name, status=result.status,
-            wall=round(result.wall_time, 4),
-            queue_wait=result.queue_wait,
-            attempts=result.attempts, from_cache=result.from_cache,
         )
         if self.cache is not None and not result.from_cache:
             self.cache.put(job.fingerprint(), result)
@@ -893,7 +888,6 @@ class WorkerPool:
             worker = _Worker(self._ctx)
             self._workers.append(worker)
             self.workers_spawned += 1
-            jlog(logger, "pool.worker_spawned", worker_pid=worker.process.pid)
             return worker
         return None
 

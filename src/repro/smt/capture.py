@@ -119,13 +119,11 @@ class QueryCapture:
     def snapshot(self, solver, assumptions) -> Dict:
         """Serialize the solver's active query *before* it runs.
 
-        The active query is ``AND(asserted) ∧ AND(assumptions)``: open-scope
-        assertions live in ``encoder.asserted`` and their activation guards
-        are always assumed by ``solve``, so the plain conjunction is the
-        correct replay semantics.  ``add(false)`` outside a scope never
-        reaches the assertion list (the solver short-circuits on a flag), so
-        it is re-materialized here as a literal ``"false"`` — without it an
-        UNSAT capture would replay as an empty SAT query.
+        The active query is ``AND(asserted) ∧ AND(assumptions)``.
+        ``add(false)`` never reaches the assertion list (the solver
+        short-circuits on a flag), so it is re-materialized here as a
+        literal ``"false"`` — without it an UNSAT capture would replay as an
+        empty SAT query.
         """
         asserted = list(solver._encoder.asserted)
         variables: Dict[str, str] = {}

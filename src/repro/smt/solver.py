@@ -79,16 +79,12 @@ class SmtSolver:
     Assertions (and the clauses, atom canonicalisation and learned theory
     lemmas derived from them) accumulate across :meth:`check`/:meth:`solve`
     calls on one instance — CEGIS-style loops that strengthen a query keep
-    everything already derived.  Use :meth:`reset` (or a fresh instance, as
-    :func:`check_sat`/:func:`is_valid` do) for isolated one-shot checks.
+    everything already derived.  Use a fresh instance, as
+    :func:`check_sat`/:func:`is_valid` do, for isolated one-shot checks.
 
-    Two mechanisms scope assertions without discarding solver state:
-
-    - :meth:`solve` accepts *assumptions* — Bool terms required for that
-      call only.  An UNSAT answer then carries the unsat assumption core.
-    - :meth:`push`/:meth:`pop` open and close assertion scopes, implemented
-      with activation literals so popped clauses are disabled, never
-      removed, and everything learned while they were active survives.
+    :meth:`solve` also accepts *assumptions* — Bool terms required for that
+    call only, without discarding solver state.  An UNSAT answer then
+    carries the unsat assumption core.
     """
 
     #: Sentinel: "use the process-wide default query memo".
@@ -107,14 +103,11 @@ class SmtSolver:
         self.stats = SmtStats()
         self._encoder = CnfEncoder()
         self._trivially_false = False
-        self._scopes: List[int] = []  # activation literal per open scope
-        self._scope_marks: List[int] = []  # encoder.asserted length at push
         if memo is SmtSolver.USE_DEFAULT_MEMO:
             memo = _memo.default_memo()
         self.memo: Optional[_memo.QueryMemo] = memo  # type: ignore[assignment]
-        self._scopes_used = False
         # Incremental fingerprint state over the asserted-formula prefix
-        # (see :meth:`_memo_key`); rebuilt from scratch after a pop().
+        # (see :meth:`_memo_key`).
         self._fp_state = None
         self._fp_count = 0
 
@@ -123,71 +116,21 @@ class SmtSolver:
 
         Clauses, atom canonicalisation and learned theory lemmas persist
         across :meth:`solve` calls, so CEGIS-style loops that strengthen one
-        query keep everything the solver already derived.  Inside an open
-        scope (see :meth:`push`) the assertion is guarded by the scope's
-        activation literal and dies with the scope.
+        query keep everything the solver already derived.
         """
         if formula.sort is not BOOL:
             raise ValueError("add() expects a Bool-sorted formula")
         formula = simplify(formula)
         if formula.kind is Kind.CONST:
             if not formula.payload:
-                if self._scopes:
-                    # False inside a scope kills only that scope.
-                    self._encoder.sat.add_clause([-self._scopes[-1]])
-                else:
-                    self._trivially_false = True
+                self._trivially_false = True
             return
-        self._encoder.assert_formula(
-            formula, guard=self._scopes[-1] if self._scopes else None
-        )
-
-    def push(self) -> None:
-        """Open an assertion scope; assertions until :meth:`pop` are scoped."""
-        # Scoped state (activation literals, scoped ``add(False)``) changes
-        # the query without changing the assertion list, which the memo
-        # fingerprint cannot see — so a solver that ever scoped is excluded
-        # from memoization for its lifetime.
-        self._scopes_used = True
-        self._scopes.append(self._encoder.sat.new_var())
-        self._scope_marks.append(len(self._encoder.asserted))
-
-    def pop(self) -> None:
-        """Close the innermost scope, retracting its assertions.
-
-        The scope's activation literal is permanently falsified, which
-        vacuously satisfies every clause asserted in the scope — learned
-        clauses, atom canonicalisation and theory lemmas all survive.
-        """
-        if not self._scopes:
-            raise ValueError("pop() without a matching push()")
-        act = self._scopes.pop()
-        mark = self._scope_marks.pop()
-        del self._encoder.asserted[mark:]
-        self._encoder.sat.add_clause([-act])
-
-    @property
-    def num_scopes(self) -> int:
-        return len(self._scopes)
+        self._encoder.assert_formula(formula)
 
     @property
     def learnt_clauses_deleted(self) -> int:
         """Learnt clauses dropped by the SAT core's DB reduction (lifetime)."""
         return self._encoder.sat.num_learnts_deleted
-
-    def reset(self) -> None:
-        """Drop every asserted formula, learned lemma and atom table.
-
-        After ``reset`` the instance behaves like a newly constructed solver
-        (statistics are kept; they describe the solver's lifetime).
-        """
-        self._encoder = CnfEncoder()
-        self._trivially_false = False
-        self._scopes = []
-        self._scope_marks = []
-        self._scopes_used = False
-        self._fp_state = None
-        self._fp_count = 0
 
     def check(self, formula: Term) -> Result:
         """Incremental satisfiability check: ``add(formula)`` then :meth:`solve`.
@@ -195,9 +138,8 @@ class SmtSolver:
         Note this is *not* one-shot on a reused instance — assertions from
         earlier ``add``/``check`` calls stay in force, so the result is the
         satisfiability of the conjunction of everything asserted so far.
-        Call :meth:`reset` first (or construct a fresh :class:`SmtSolver`,
-        as the module-level helpers :func:`check_sat` / :func:`is_valid` do)
-        for an isolated check.
+        Construct a fresh :class:`SmtSolver`, as the module-level helpers
+        :func:`check_sat` / :func:`is_valid` do, for an isolated check.
 
         Raises:
             SolverBudgetExceeded: on timeout or budget exhaustion.
@@ -234,7 +176,7 @@ class SmtSolver:
         if _capture.active() is not None:
             return self._solve_captured(assumptions)
         memo = self.memo
-        if memo is None or self._scopes_used:
+        if memo is None:
             return self._solve_dispatch(assumptions)
         key = self._memo_key(assumptions)
         cached = memo.lookup(key)
@@ -252,15 +194,13 @@ class SmtSolver:
 
         Folds per-term digests (:func:`repro.smt.memo.term_digest`) of the
         asserted prefix into a running hash that only advances with new
-        assertions — a :meth:`pop` shrinks the assertion list and forces a
-        rebuild — then mixes in the trivially-false marker and this call's
+        assertions, then mixes in the trivially-false marker and this call's
         assumptions on a copy."""
         import hashlib
 
         asserted = self._encoder.asserted
-        if self._fp_state is None or self._fp_count > len(asserted):
+        if self._fp_state is None:
             self._fp_state = hashlib.sha256(_capture.FORMAT.encode("utf-8"))
-            self._fp_count = 0
         state = self._fp_state
         for term in asserted[self._fp_count:]:
             state.update(_memo.term_digest(term))
@@ -381,7 +321,6 @@ class SmtSolver:
             lit_to_term.setdefault(lit, term)
         if not encoder.asserted and not prepared_assumptions:
             return Result(Status.SAT, {}, 0)
-        sat_assumptions = list(self._scopes) + assumption_lits
         rounds = 0
         while True:
             rounds += 1
@@ -392,7 +331,7 @@ class SmtSolver:
                 raise SolverBudgetExceeded("SMT deadline exceeded")
             encoder.sat.deadline = self.deadline
             try:
-                sat_model = encoder.sat.solve(assumptions=sat_assumptions)
+                sat_model = encoder.sat.solve(assumptions=assumption_lits)
             except encoder.sat.Interrupted as exc:
                 raise SolverBudgetExceeded(str(exc)) from exc
             if sat_model is None:

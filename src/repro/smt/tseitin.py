@@ -96,18 +96,11 @@ class CnfEncoder:
             self._true_lit = var
         return self._true_lit
 
-    def assert_formula(self, formula: Term, guard: Optional[int] = None) -> Term:
-        """Normalise, encode, and assert ``formula``; returns the prepared form.
-
-        With ``guard`` (a SAT variable acting as an activation literal) the
-        assertion is conditional: the clause ``guard -> formula`` is added
-        instead of the unit, so the formula is only in force while ``guard``
-        is assumed true.  This is how scoped (push/pop) assertions are
-        encoded without ever removing clauses.
-        """
+    def assert_formula(self, formula: Term) -> Term:
+        """Normalise, encode, and assert ``formula``; returns the prepared form."""
         prepared = split_int_eq(lift_ite(formula))
         lit = self.encode(prepared)
-        self.sat.add_clause([lit] if guard is None else [-guard, lit])
+        self.sat.add_clause([lit])
         self.asserted.append(prepared)
         return prepared
 

@@ -12,16 +12,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 import time
 from collections import deque
 from typing import Callable, List, Optional
 
-logger = logging.getLogger(__name__)
-
 from repro import obs
 from repro.obs import forensics
-from repro.obs.log import jlog
 from repro.lang.ast import Term
 from repro.smt.solver import SolverBudgetExceeded
 from repro.sygus.problem import Solution, SygusProblem
@@ -91,8 +87,6 @@ class CooperativeSynthesizer:
 
     def synthesize(self, problem: SygusProblem) -> SynthesisOutcome:
         """Run Algorithm 1; the whole run is a ``synth`` telemetry span."""
-        jlog(logger, "synth.start", problem=problem.name, solver=self.name,
-             timeout=self.config.timeout)
         with obs.span(
             "synth", problem=problem.name, solver=self.name
         ) as root_span:
@@ -102,10 +96,6 @@ class CooperativeSynthesizer:
             )
         if obs.enabled():
             obs.publish_stats(outcome.stats)
-        jlog(logger, "synth.end", problem=problem.name,
-             solved=outcome.solved, timed_out=outcome.timed_out,
-             smt_rounds=outcome.stats.smt_rounds,
-             heights_tried=outcome.stats.heights_tried)
         return outcome
 
     def _synthesize_impl(self, problem: SygusProblem) -> SynthesisOutcome:
@@ -131,7 +121,6 @@ class CooperativeSynthesizer:
                     node = ded_queue.popleft()
                     if node.solved:
                         continue
-                    logger.debug("deduct: %s", node.problem.name)
                     with obs.span(
                         "deduct", problem=node.problem.name, node=node.node_id
                     ):
@@ -144,7 +133,6 @@ class CooperativeSynthesizer:
                         continue
                     stats.heights_tried += 1
                     stats.max_height_reached = max(stats.max_height_reached, height)
-                    step_start = time.monotonic()
                     with obs.span(
                         "enum",
                         problem=node.problem.name,
@@ -160,13 +148,6 @@ class CooperativeSynthesizer:
                             )
                         )
                         enum_span.set(outcome=step_outcome)
-                    logger.debug(
-                        "enum h=%d %s -> %s (%.2fs)",
-                        height,
-                        node.problem.name,
-                        step_outcome,
-                        time.monotonic() - step_start,
-                    )
                     if body is not None:
                         self._mark_solved(node, body, graph, ded_queue, stats, deadline)
                     elif not exhausted:
@@ -313,7 +294,6 @@ class CooperativeSynthesizer:
         # Defense in depth: never accept an unverified body, whatever engine
         # produced it (pluggable engines may only be example-consistent).
         if not verified and not self._accept(node, body, deadline):
-            logger.debug("rejected unverified candidate for %s", node.problem.name)
             forensics.emit(
                 forensics.DIVIDE_REJECT,
                 node=node.node_id,
@@ -322,7 +302,6 @@ class CooperativeSynthesizer:
             return
         node.solution = body
         stats.subproblems_solved += 1
-        jlog(logger, "synth.subproblem_solved", problem=node.problem.name)
         note_solved(node, how)
         # A solved node never enumerates again: release its parked
         # incremental solver sessions (clause DBs, atom tables) right away

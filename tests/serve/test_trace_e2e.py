@@ -1,8 +1,8 @@
-"""One trace id, end to end: HTTP admission → audit log → worker spans.
+"""One trace id, end to end: HTTP admission → job events → worker spans.
 
 This is the acceptance test for request-scoped tracing: a single submission's
-``trace_id`` must be observable in (1) the admission audit record on the
-structured log stream, (2) the ``/v1/stats`` recent-requests ring, (3) the
+``trace_id`` must be observable in (1) the ``queued`` admission event on the
+job's event stream, (2) the ``/v1/stats`` recent-requests ring, (3) the
 job view the client polls, and (4) the re-rooted span tree — ``serve.request``
 → ``serve.queue_wait`` + grafted ``worker.request`` worker tree — that
 ``dryadsynth explain`` renders.
@@ -16,17 +16,14 @@ import pytest
 
 from repro import obs
 from repro.obs.explain import build_explain, render_explain
-from repro.obs.log import configure_json_logging, remove_json_logging
 from repro.serve import ServeSettings, SynthesisDaemon, build_server
 
 from tests.serve.test_daemon import get_json, post_json, wait_terminal
 
 
 @pytest.fixture
-def traced_stack(tmp_path):
-    """Daemon with telemetry on, inside a recording, with a JSON log sink."""
-    log_path = tmp_path / "daemon.jsonl"
-    handler = configure_json_logging(str(log_path))
+def traced_stack():
+    """Daemon with telemetry on, inside a recording."""
     with obs.recording() as recorder:
         daemon = SynthesisDaemon(
             ServeSettings(workers=2, solver="debug-solve", timeout=10.0,
@@ -35,15 +32,16 @@ def traced_stack(tmp_path):
         server = build_server(daemon, port=0)
         server.start()
         try:
-            yield daemon, server, recorder, log_path
+            yield daemon, server, recorder
         finally:
             daemon.stop(drain=False)
             server.stop()
-            remove_json_logging(handler)
 
 
-def read_log(path):
-    return [json.loads(line) for line in path.read_text().splitlines()]
+def job_events(url, serve_id):
+    """The job's event stream, inlined in its view."""
+    _, view = get_json(url, f"/v1/jobs/{serve_id}?events=1")
+    return view["events"]
 
 
 def wait_for_span(recorder, name, deadline=10.0):
@@ -59,7 +57,7 @@ def wait_for_span(recorder, name, deadline=10.0):
 
 class TestTraceEndToEnd:
     def test_trace_id_everywhere(self, traced_stack):
-        daemon, server, recorder, log_path = traced_stack
+        daemon, server, recorder = traced_stack
         status, _, payload = post_json(
             server.url, {"problem": "p", "name": "max2", "client": "alice"}
         )
@@ -71,11 +69,11 @@ class TestTraceEndToEnd:
         assert view["trace_id"] == trace_id
         assert view["traceparent"].split("-")[1] == trace_id
 
-        # (1) admission audit record on the structured log stream.
-        audits = [r for r in read_log(log_path) if r["event"] == "serve.audit"]
+        # (1) the admission event on the job's event stream.
+        events = job_events(server.url, payload["id"])
         assert any(
-            r["decision"] == "admitted" and r["trace_id"] == trace_id
-            for r in audits
+            e["state"] == "queued" and e["trace_id"] == trace_id
+            for e in events
         )
 
         # (2) /v1/stats: the recent ring carries the trace id.
@@ -108,7 +106,7 @@ class TestTraceEndToEnd:
         assert "daemon requests" in text
 
     def test_caller_traceparent_is_continued(self, traced_stack):
-        daemon, server, recorder, log_path = traced_stack
+        daemon, server, recorder = traced_stack
         caller_trace = "c" * 32
         caller_span = "d" * 16
         header = f"00-{caller_trace}-{caller_span}-01"
@@ -133,7 +131,7 @@ class TestTraceEndToEnd:
         assert request_span.attrs["trace_parent_span_id"] == caller_span
 
     def test_malformed_traceparent_mints_fresh(self, traced_stack):
-        daemon, server, recorder, log_path = traced_stack
+        daemon, server, recorder = traced_stack
         request = urllib.request.Request(
             server.url + "/v1/jobs",
             data=json.dumps({"problem": "p3"}).encode(),
@@ -147,7 +145,7 @@ class TestTraceEndToEnd:
         assert len(payload["trace_id"]) == 32
 
     def test_queue_wait_span_recorded(self, traced_stack):
-        daemon, server, recorder, log_path = traced_stack
+        daemon, server, recorder = traced_stack
         _, _, payload = post_json(server.url, {"problem": "q"})
         wait_terminal(server.url, payload["id"])
         spans = wait_for_span(recorder, "serve.request")
@@ -158,7 +156,7 @@ class TestTraceEndToEnd:
     def test_cache_hit_audited_with_trace(self, tmp_path, traced_stack):
         from repro.service.cache import ResultCache
 
-        daemon, server, recorder, log_path = traced_stack
+        daemon, server, recorder = traced_stack
         cached = SynthesisDaemon(
             ServeSettings(workers=1, solver="debug-solve", timeout=10.0,
                           cache=ResultCache(tmp_path / "cache"))
@@ -170,10 +168,9 @@ class TestTraceEndToEnd:
             wait_terminal(cached_server.url, first["id"])
             status, _, second = post_json(cached_server.url, {"problem": "c"})
             assert status == 200 and second["from_cache"]
-            audits = [
-                r for r in read_log(log_path) if r["event"] == "serve.audit"
-            ]
-            hits = [r for r in audits if r["decision"] == "cache_hit"]
+            events = job_events(cached_server.url, second["id"])
+            hits = [e for e in events
+                    if e["state"] == "done" and e["from_cache"]]
             assert hits and hits[0]["trace_id"] == second["trace_id"]
             # A cache hit gets its own fresh trace, not the miss's.
             assert second["trace_id"] != first["trace_id"]
@@ -181,39 +178,27 @@ class TestTraceEndToEnd:
             cached.stop(drain=False)
             cached_server.stop()
 
-    def test_shed_audit_names_displacer(self, log_sink=None):
-        log_path = None  # uses its own stack: needs tight queue settings
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            log_path = tmp + "/log.jsonl"
-            handler = configure_json_logging(log_path)
-            daemon = SynthesisDaemon(
-                ServeSettings(workers=1, solver="debug-sleep@0.5",
-                              timeout=10.0, max_queue=2)
+    def test_shed_audit_names_displacer(self):
+        # Uses its own stack: needs tight queue settings.
+        daemon = SynthesisDaemon(
+            ServeSettings(workers=1, solver="debug-sleep@0.5",
+                          timeout=10.0, max_queue=2)
+        )
+        server = build_server(daemon, port=0)
+        server.start()
+        try:
+            for index in range(3):
+                post_json(server.url,
+                          {"problem": f"s{index}", "priority": 0})
+            status, _, vip = post_json(
+                server.url, {"problem": "vip", "priority": 9}
             )
-            server = build_server(daemon, port=0)
-            server.start()
-            try:
-                for index in range(3):
-                    post_json(server.url,
-                              {"problem": f"s{index}", "priority": 0})
-                status, _, vip = post_json(
-                    server.url, {"problem": "vip", "priority": 9}
-                )
-                assert status == 202 and vip.get("displaced")
-                records = [
-                    json.loads(line)
-                    for line in open(log_path).read().splitlines()
-                ]
-                sheds = [
-                    r for r in records
-                    if r["event"] == "serve.audit" and r["decision"] == "shed"
-                ]
-                assert sheds
-                assert sheds[0]["displaced_by"] == vip["id"]
-                assert sheds[0]["trace_id"]
-            finally:
-                daemon.stop(drain=False)
-                server.stop()
-                remove_json_logging(handler)
+            assert status == 202 and vip.get("displaced")
+            events = job_events(server.url, vip["displaced"])
+            sheds = [e for e in events if e["state"] == "shed"]
+            assert sheds
+            assert sheds[0]["displaced_by"] == vip["id"]
+            assert sheds[0]["trace_id"]
+        finally:
+            daemon.stop(drain=False)
+            server.stop()

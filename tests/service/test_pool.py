@@ -7,6 +7,8 @@ job), first-finisher-wins cancellation, and cache hit/miss keyed by
 fingerprint.
 """
 
+import io
+import logging
 import os
 import signal
 import threading
@@ -23,7 +25,7 @@ from repro.service.jobs import (
     UNSOLVED,
     SynthesisJob,
 )
-from repro.service.pool import PoolError, WorkerPool
+from repro.service.pool import PoolError, WorkerPool, _detach_inherited_logging
 
 MAX2_SL = """
 (set-logic LIA)
@@ -378,6 +380,32 @@ class TestShutdown:
                 break
             time.sleep(0.05)
         assert not [pid for pid in pids if _pid_alive(pid)]
+
+
+
+class TestForkSafety:
+    def test_worker_detaches_inherited_logging(self):
+        # A forked worker must not log through inherited handlers: their
+        # stream locks may have been held by another parent thread at fork
+        # time, deadlocking the child's first flush.  The worker detaches
+        # them (without close(), which would flush) and parks a NullHandler
+        # so the fallback never reaches the inherited sys.stderr wrapper.
+        root = logging.getLogger()
+        repro_logger = logging.getLogger("repro")
+        saved = {logger: list(logger.handlers)
+                 for logger in (root, repro_logger)}
+        inherited_root = logging.StreamHandler(io.StringIO())
+        inherited_repro = logging.StreamHandler(io.StringIO())
+        root.addHandler(inherited_root)
+        repro_logger.addHandler(inherited_repro)
+        try:
+            _detach_inherited_logging()
+            assert root.handlers == []
+            assert len(repro_logger.handlers) == 1
+            assert isinstance(repro_logger.handlers[0], logging.NullHandler)
+        finally:
+            for logger, handlers in saved.items():
+                logger.handlers[:] = handlers
 
 
 def _pid_alive(pid: int) -> bool:

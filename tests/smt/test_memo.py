@@ -124,20 +124,6 @@ class TestQueryMemoSoundness:
         retry.add(and_(or_(ge(x, 5), le(x, -5)), ge(x, 0), le(x, 3)))
         assert retry.solve().status is Status.UNSAT
 
-    def test_scoped_solver_bypasses_memo(self):
-        memo = smt_memo.QueryMemo()
-        solver = SmtSolver(memo=memo)
-        solver.add(ge(x, 0))
-        solver.push()
-        solver.add(lt(x, 0))
-        assert solver.solve().status is Status.UNSAT
-        solver.pop()
-        # Scoped constraints never reach the fingerprint, so a scoped
-        # solver is excluded outright: this post-pop solve must be SAT,
-        # not a stale UNSAT hit.
-        assert solver.solve().status is Status.SAT
-        assert memo.hits == 0
-
     def test_capture_mode_bypasses_memo(self, tmp_path):
         memo = smt_memo.QueryMemo()
         warm = SmtSolver(memo=memo)

@@ -1,4 +1,4 @@
-"""Assumption solving, unsat cores and push/pop scoping at the SMT level.
+"""Assumption solving and unsat cores at the SMT level.
 
 Also pins the ``_minimize_core`` deadline-forwarding bugfix with a regression
 test that fails on the pre-fix code.
@@ -117,64 +117,6 @@ class TestSolveUnderAssumptions:
         second = solver.solve(assumptions=[le(x, 1), le(y, 2)])
         assert second.is_unsat
         assert solver.stats.lemmas >= lemmas_before
-
-
-class TestPushPop:
-    def test_pop_retracts_scoped_assertions(self):
-        solver = SmtSolver()
-        solver.add(ge(x, 0))
-        solver.push()
-        solver.add(ge(x, 10))
-        assert solver.solve(assumptions=[le(x, 5)]).is_unsat
-        solver.pop()
-        assert solver.solve(assumptions=[le(x, 5)]).is_sat
-
-    def test_nested_scopes(self):
-        solver = SmtSolver()
-        solver.add(ge(x, 0))
-        solver.push()
-        solver.add(le(x, 100))
-        solver.push()
-        solver.add(ge(x, 200))
-        assert solver.solve().is_unsat
-        solver.pop()
-        assert solver.num_scopes == 1
-        assert solver.solve().is_sat
-        result = solver.solve(assumptions=[ge(x, 150)])
-        assert result.is_unsat  # inner scope gone, outer le(x, 100) remains
-        solver.pop()
-        assert solver.solve(assumptions=[ge(x, 150)]).is_sat
-
-    def test_pop_without_push_raises(self):
-        solver = SmtSolver()
-        with pytest.raises(ValueError):
-            solver.pop()
-
-    def test_false_inside_scope_dies_with_it(self):
-        solver = SmtSolver()
-        solver.add(ge(x, 0))
-        solver.push()
-        solver.add(bool_const(False))
-        assert solver.solve().is_unsat
-        solver.pop()
-        assert solver.solve().is_sat
-
-    def test_scoped_model_respects_scope(self):
-        solver = SmtSolver()
-        solver.push()
-        solver.add(and_(ge(x, 7), le(x, 7)))
-        result = solver.solve()
-        assert result.is_sat and result.model["x"] == 7
-
-    def test_reset_clears_scopes(self):
-        solver = SmtSolver()
-        solver.push()
-        solver.add(bool_const(False))
-        solver.reset()
-        assert solver.num_scopes == 0
-        assert solver.solve().is_sat
-        with pytest.raises(ValueError):
-            solver.pop()
 
 
 class TestMinimizeCoreDeadlineRegression:

@@ -205,46 +205,6 @@ class TestBatch:
         assert "error" in capsys.readouterr().err
 
 
-class TestLogJson:
-    def test_single_run_writes_structured_log(self, max2_file, tmp_path,
-                                              capsys):
-        import json
-
-        log = tmp_path / "run.log.jsonl"
-        assert main([max2_file, "--timeout", "30",
-                     "--log-json", str(log)]) == 0
-        capsys.readouterr()
-        records = [json.loads(l) for l in log.read_text().splitlines()]
-        events = [r["event"] for r in records]
-        assert "synth.start" in events
-        assert "synth.end" in events
-        start = records[events.index("synth.start")]
-        assert start["problem"] == "max2.sl"
-        assert start["solver"] == "dryadsynth"
-
-    def test_batch_log_correlates_parent_and_worker(self, tmp_path, capsys):
-        import json
-
-        suite = tmp_path / "suite"
-        suite.mkdir()
-        (suite / "max2.sl").write_text(MAX2_SL)
-        log = tmp_path / "batch.log.jsonl"
-        code = main(["batch", str(suite), "--no-cache", "--timeout", "30",
-                     "--log-json", str(log),
-                     "--out", str(tmp_path / "results.jsonl")])
-        capsys.readouterr()
-        assert code == 0
-        records = [json.loads(l) for l in log.read_text().splitlines()]
-        by_event = {r["event"]: r for r in records}
-        # Parent-side scheduler events and worker-side job events land in
-        # the same file, correlated by job_id.
-        assert by_event["job.assigned"]["job_id"] == "job-1"
-        assert by_event["job.start"]["job_id"] == "job-1"
-        assert by_event["job.end"]["status"] == "solved"
-        assert by_event["job.completed"]["problem"] == "max2"
-        assert by_event["job.start"]["pid"] != by_event["job.assigned"]["pid"]
-
-
 class TestBatchServeTelemetry:
     def test_endpoints_scrape_mid_run(self, tmp_path, capsys):
         import json

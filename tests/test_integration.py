@@ -145,3 +145,24 @@ class TestGeneralTrack:
         assert problem.synth_fun.grammar.generates(outcome.solution.body)
         ok, _ = problem.verify(outcome.solution.body)
         assert ok
+
+
+class TestSolveSygusApi:
+    def test_timeout_leaves_callers_config_unchanged(self):
+        problem = parse_sygus_text(
+            """
+            (set-logic LIA)
+            (synth-fun max2 ((x Int) (y Int)) Int)
+            (declare-var x Int)
+            (declare-var y Int)
+            (constraint (>= (max2 x y) x))
+            (constraint (>= (max2 x y) y))
+            (constraint (or (= (max2 x y) x) (= (max2 x y) y)))
+            (check-synth)
+            """,
+            name="max2",
+        )
+        config = SynthConfig()
+        outcome = solve_sygus(problem, timeout=5, config=config)
+        assert outcome.solved
+        assert config.timeout is None
