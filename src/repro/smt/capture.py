@@ -216,6 +216,10 @@ class ReplayReport:
     files: int = 0
     skipped: int = 0  # aborted captures (see ABORTED_STATUSES), not replayed
     pivots: int = 0  # simplex pivots of the replayed solves
+    # SAT-core work of the replayed solvers (each entry gets a fresh one).
+    conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
     divergences: List[Divergence] = field(default_factory=list)
     captured_walls: List[float] = field(default_factory=list)
     replayed_walls: List[float] = field(default_factory=list)
@@ -397,6 +401,10 @@ def replay_entry(
         observed_model = None
     replay_wall = time.monotonic() - start
     report.pivots += pivots_total() - pivots
+    sat = solver._encoder.sat
+    report.conflicts += sat.num_conflicts
+    report.decisions += sat.num_decisions
+    report.propagations += sat.num_propagations
     report.captured_walls.append(float(entry.get("wall", 0.0)))
     report.replayed_walls.append(replay_wall)
     if observed != status:
@@ -441,6 +449,8 @@ def render_report(report: ReplayReport) -> str:
             f"{k}={v:.6f}s" for k, v in timing_percentiles(report.replayed_walls).items()
         ),
         f"  simplex pivots {report.pivots}",
+        f"  sat conflicts {report.conflicts} decisions {report.decisions}"
+        f" propagations {report.propagations}",
     ]
     if report.skipped:
         lines.append(

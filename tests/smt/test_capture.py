@@ -63,6 +63,11 @@ class TestRoundTrip:
         assert "p50=" in rendered and "p99=" in rendered
         assert report.pivots > 0
         assert f"  simplex pivots {report.pivots}\n" in rendered
+        assert report.decisions > 0 and report.propagations > 0
+        assert (
+            f"  sat conflicts {report.conflicts} decisions {report.decisions}"
+            f" propagations {report.propagations}\n"
+        ) in rendered
 
     def test_cli_single_run_captures_and_replays(self, tmp_path, capsys):
         from repro.cli import main

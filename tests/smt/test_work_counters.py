@@ -4,8 +4,9 @@ Replays ``nat-max2``, ``cap-min2`` and ``qm-max3`` from ``smt_corpus/`` on
 fresh solvers with the query memo off and asserts the exact work done at
 every layer: simplex pivots, branch-and-bound nodes (one ``Simplex.check``
 each), core-minimisation ``check_lia`` calls, DPLL(T) rounds, theory lemmas,
-SAT conflicts and decisions.  A digest pins every replayed status, model and
-unsat core, and every ``check_lia`` outcome with its core order.
+SAT conflicts, decisions and unit propagations.  A digest pins every
+replayed status, model and unsat core, and every ``check_lia`` outcome with
+its core order.
 
 A change to the solver's number representation or data layout keeps every
 decision, so it must pass this test without editing a number; a change that
@@ -107,6 +108,11 @@ def test_replay_work_is_pinned(monkeypatch):
         "conflicts": 50,
         "decisions": 3066,
     }
+    # Propagation also runs when add_clause() meets a unit clause, so it is
+    # summed over each fresh solver's lifetime, not inside solve() alone.
+    assert (report.conflicts, report.decisions, report.propagations) == (
+        50, 3066, 10057
+    )
     assert spy.digest.hexdigest() == (
         "88087fb03070e0de21cde00025c7d192769af4b106bae551400e7e995423f7a9"
     )
