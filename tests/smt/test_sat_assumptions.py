@@ -179,14 +179,40 @@ class TestClauseDbReduction:
         s = SatSolver()
         _pigeonhole(s, 6, 5)
         s._max_learnts = 8.0
-        s.solve()
-        for ci, lbd in s._lbd.items():
-            clause = s._clauses[ci]
-            if clause is not None and (len(clause) == 2 or lbd <= 3):
-                continue  # kept clauses: fine either way
-        # Binary and glue learnt clauses are never deleted.
-        deleted_total = s.num_learnts_deleted
-        assert deleted_total > 0
+        reduce_db = s._reduce_db
+        totals = {"reductions": 0, "deleted": 0, "protected": 0}
+
+        def checked_reduce_db():
+            # Called at level 0, so the trail holds only level-0 literals.
+            locked = {s._reason[abs(lit)] for lit in s._trail}
+            before = list(s._clauses)
+            lbd = dict(s._lbd)
+            protected = [
+                ci
+                for ci in s._learnts
+                if len(before[ci]) == 2 or lbd[ci] <= 3
+            ]
+            reduce_db()
+            deleted = [
+                ci
+                for ci, clause in enumerate(before)
+                if clause is not None and s._clauses[ci] is None
+            ]
+            for ci in deleted:
+                assert ci not in s._learnts and ci in lbd  # a learnt clause
+                assert len(before[ci]) > 2 and lbd[ci] > 3
+                assert ci not in locked
+            # Binary and glue learnt clauses are never deleted.
+            for ci in protected:
+                assert ci in s._learnts and s._clauses[ci] is not None
+            totals["reductions"] += 1
+            totals["deleted"] += len(deleted)
+            totals["protected"] += len(protected)
+
+        s._reduce_db = checked_reduce_db
+        assert s.solve() is None
+        assert totals["deleted"] == s.num_learnts_deleted
+        assert totals == {"reductions": 2, "deleted": 59, "protected": 50}
 
     def test_answers_match_unreduced_solver_on_random_cnf(self):
         rng = random.Random(20260805)
