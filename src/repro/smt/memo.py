@@ -1,4 +1,4 @@
-"""Semantic SMT query memoization keyed by the ``repro-smtq/1`` fingerprint.
+"""Semantic SMT query memoization keyed by interned terms.
 
 The synthesis loops issue many *semantically identical* SMT queries:
 ``SygusProblem.verify`` builds a fresh solver per candidate, the same
@@ -8,16 +8,21 @@ corpora are full of shared incremental prefixes.  This module caches
 one process-wide table so a duplicate query returns its recorded result
 without touching DPLL(T).
 
-**Key.**  A query's fingerprint hashes exactly the content of a
-``repro-smtq/1`` capture snapshot (:mod:`repro.smt.capture`): every
-asserted formula rendered with :func:`repro.lang.printer.to_sexpr`
-together with its free variables' sorts, a marker for a trivially-false
-assertion set, and the per-call assumptions.  Two solvers with the same
-fingerprint are running the same conjunction over the same-sorted
-variables, so the decision transfers.  Per-term digests are memoized on
-the interned :class:`~repro.lang.ast.Term`, and :class:`SmtSolver` folds
-the asserted-formula digests incrementally, so a hot incremental session
-pays one short hash per solve, not a re-render of its whole history.
+**Key.**  :class:`~repro.smt.solver.SmtSolver` keys a query by the tuple of
+its simplified assertions in add order, a flag for a trivially-false
+assertion, and the tuple of the call's assumption terms.  Terms are
+interned (:class:`~repro.lang.ast.Term`): two terms are the same object
+exactly when they have the same kind, payload, sort and children, so equal
+keys mean the same conjunction over the same-sorted variables and the
+decision transfers.  Hashing a key hashes each term's precomputed hash, so
+it costs one step per assertion and renders nothing.
+
+**Before encoding.**  ``SmtSolver.add`` only simplifies and records a
+formula, and ``SmtSolver.solve`` looks the key up before CNF-encoding
+anything.  A hit therefore does no encoding and no SAT work; the pending
+assertions are encoded, in add order, by the next solve that misses.  An
+encoding error (an uninlined function application, say) surfaces from that
+``solve()``.
 
 **Soundness.**  Only SAT/UNSAT results are stored: a budget or deadline
 abort (:class:`SolverBudgetExceeded`) describes the *run*, not the query,
@@ -30,34 +35,14 @@ recorded corpus always reflects real solves.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro import obs
 from repro.lang.ast import Term
-from repro.lang.printer import to_sexpr
-from repro.lang.traversal import free_vars
 
 #: Stored decisions per memo; oldest-touched entries are evicted first.
 DEFAULT_CAPACITY = 4096
-
-_term_digests: Dict[Term, bytes] = {}
-
-
-def term_digest(term: Term) -> bytes:
-    """The per-term fingerprint contribution (cached on the interned term).
-
-    Hashes the term's s-expression rendering — the exact text a
-    ``repro-smtq/1`` capture stores — plus its free variables with their
-    sorts, because two sort-distinct queries can render identically."""
-    digest = _term_digests.get(term)
-    if digest is None:
-        h = hashlib.sha256(to_sexpr(term).encode("utf-8"))
-        for v in sorted(free_vars(term), key=lambda t: t.payload):
-            h.update(f"\x00{v.payload}:{v.sort.name}".encode("utf-8"))
-        digest = _term_digests[term] = h.digest()
-    return digest
 
 
 class _Entry:
@@ -85,14 +70,14 @@ class QueryMemo:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
-        self._entries: "OrderedDict[bytes, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: bytes):
+    def lookup(self, key: Hashable):
         """The cached :class:`~repro.smt.solver.Result`, or None.
 
         A hit returns a *fresh* Result with a copied model — callers
@@ -111,7 +96,7 @@ class QueryMemo:
         model = dict(entry.model) if entry.model is not None else None
         return Result(entry.status, model, entry.rounds, entry.unsat_core)
 
-    def store(self, key: bytes, result) -> None:
+    def store(self, key: Hashable, result) -> None:
         """Record a decided result; undecided outcomes are never stored."""
         from repro.smt.solver import Status
 

@@ -102,21 +102,27 @@ class SmtSolver:
         self.deadline = deadline
         self.stats = SmtStats()
         self._encoder = CnfEncoder()
+        # Simplified assertions in add order; the first ``_encoded`` of them
+        # are CNF-encoded into ``_encoder``.
+        self._assertions: List[Term] = []
+        self._encoded = 0
         self._trivially_false = False
         if memo is SmtSolver.USE_DEFAULT_MEMO:
             memo = _memo.default_memo()
         self.memo: Optional[_memo.QueryMemo] = memo  # type: ignore[assignment]
-        # Incremental fingerprint state over the asserted-formula prefix
-        # (see :meth:`_memo_key`).
-        self._fp_state = None
-        self._fp_count = 0
 
     def add(self, formula: Term) -> None:
         """Assert a formula (incremental interface).
 
-        Clauses, atom canonicalisation and learned theory lemmas persist
-        across :meth:`solve` calls, so CEGIS-style loops that strengthen one
-        query keep everything the solver already derived.
+        Only simplifies and records the formula.  It is CNF-encoded, after
+        every earlier assertion, at the start of the next :meth:`solve` that
+        runs DPLL(T): a memo miss, a solver without a memo, or a captured
+        solve.  So a formula the encoder rejects, such as one with an
+        uninlined function application, raises ``ValueError`` from that
+        ``solve()``, not from ``add()``.  Clauses, atom canonicalisation and
+        learned theory lemmas persist across :meth:`solve` calls, so
+        CEGIS-style loops that strengthen one query keep everything the
+        solver already derived.
         """
         if formula.sort is not BOOL:
             raise ValueError("add() expects a Bool-sorted formula")
@@ -125,7 +131,14 @@ class SmtSolver:
             if not formula.payload:
                 self._trivially_false = True
             return
-        self._encoder.assert_formula(formula)
+        self._assertions.append(formula)
+
+    def _encode_pending(self) -> None:
+        """CNF-encode the assertions added since the last encoding, in order."""
+        assertions = self._assertions
+        while self._encoded < len(assertions):
+            self._encoder.assert_formula(assertions[self._encoded])
+            self._encoded += 1
 
     @property
     def learnt_clauses_deleted(self) -> int:
@@ -167,18 +180,21 @@ class SmtSolver:
         real solves.
 
         When the solver carries a :class:`~repro.smt.memo.QueryMemo` (the
-        process-wide default unless constructed with ``memo=None``), a
-        query whose ``repro-smtq/1`` fingerprint matches a previously
-        *decided* query returns the cached status/model/core without
-        running DPLL(T); see :mod:`repro.smt.memo` for the soundness
-        argument.
+        process-wide default unless constructed with ``memo=None``), the
+        memo is consulted first, under the key of the interned assertions,
+        the trivially-false flag and the assumption terms.  A query that
+        matches a previously *decided* one returns the cached
+        status/model/core without encoding anything or running DPLL(T); see
+        :mod:`repro.smt.memo` for the soundness argument.  Any other solve
+        first CNF-encodes the assertions added since the last encoding (see
+        :meth:`add`), so an encoding error raises ``ValueError`` here.
         """
         if _capture.active() is not None:
             return self._solve_captured(assumptions)
         memo = self.memo
         if memo is None:
             return self._solve_dispatch(assumptions)
-        key = self._memo_key(assumptions)
+        key = (tuple(self._assertions), self._trivially_false, tuple(assumptions))
         cached = memo.lookup(key)
         if cached is not None:
             # A hit is still a check from the caller's perspective; rounds
@@ -189,32 +205,9 @@ class SmtSolver:
         memo.store(key, result)
         return result
 
-    def _memo_key(self, assumptions: Sequence[Term]) -> bytes:
-        """The ``repro-smtq/1`` fingerprint of the active query.
-
-        Folds per-term digests (:func:`repro.smt.memo.term_digest`) of the
-        asserted prefix into a running hash that only advances with new
-        assertions, then mixes in the trivially-false marker and this call's
-        assumptions on a copy."""
-        import hashlib
-
-        asserted = self._encoder.asserted
-        if self._fp_state is None:
-            self._fp_state = hashlib.sha256(_capture.FORMAT.encode("utf-8"))
-        state = self._fp_state
-        for term in asserted[self._fp_count:]:
-            state.update(_memo.term_digest(term))
-        self._fp_count = len(asserted)
-        h = state.copy()
-        if self._trivially_false:
-            h.update(b"\x01false")
-        for term in assumptions:
-            h.update(b"\x02")
-            h.update(_memo.term_digest(term))
-        return h.digest()
-
     def _solve_dispatch(self, assumptions: Sequence[Term]) -> Result:
-        """Route to the plain or traced solve path (see :meth:`solve`)."""
+        """Encode what is pending, then take the plain or traced solve path."""
+        self._encode_pending()
         if obs.active() is None:
             return self._solve_impl(assumptions)
         return self._solve_traced(assumptions)
@@ -227,6 +220,7 @@ class SmtSolver:
         replay can reproduce even aborted queries.
         """
         writer = _capture.active()
+        self._encode_pending()
         query = writer.snapshot(self, assumptions)
         start = time.monotonic()
         status = "error"

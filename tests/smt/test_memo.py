@@ -14,6 +14,8 @@ from repro.lang import (
     lt,
     or_,
 )
+from repro.lang.builders import apply_fn
+from repro.lang.sorts import BOOL
 from repro.smt import SmtSolver, SolverBudgetExceeded, Status
 from repro.smt import capture
 from repro.smt import memo as smt_memo
@@ -104,12 +106,14 @@ class TestQueryMemoHits:
 
 class TestQueryMemoSoundness:
     def test_sort_distinct_queries_do_not_collide(self):
-        # (= x y) over Ints is SAT with a model; an identically *rendered*
-        # query over different sorts must not share the entry.  The digest
-        # includes each free variable's sort, so these are distinct keys.
-        a = smt_memo.term_digest(eq(x, y))
-        b = smt_memo.term_digest(eq(bool_var("x"), bool_var("y")))
-        assert a != b
+        # (= x y) over Ints and over Bools render identically; interned terms
+        # carry their sorts, so the two queries get distinct keys.
+        memo = smt_memo.QueryMemo()
+        for left, right in ((x, y), (bool_var("x"), bool_var("y"))):
+            solver = SmtSolver(memo=memo)
+            solver.add(eq(left, right))
+            assert solver.solve().status is Status.SAT
+        assert (memo.hits, memo.misses) == (0, 2)
 
     def test_budget_abort_is_not_cached(self):
         memo = smt_memo.QueryMemo()
@@ -149,6 +153,59 @@ class TestQueryMemoSoundness:
         memo = smt_memo.QueryMemo()
         memo.store(b"k", Result(Status.UNKNOWN, None, 0))
         assert len(memo) == 0
+
+
+def _sat_state(solver):
+    """The solver's SAT-side state: atoms, Bool variables, clause database."""
+    encoder = solver._encoder
+    return (
+        dict(encoder.atom_vars),
+        dict(encoder.bool_vars),
+        encoder.sat.num_vars,
+        [None if clause is None else list(clause) for clause in encoder.sat._clauses],
+    )
+
+
+class TestMemoBeforeEncoding:
+    def test_hit_encodes_nothing(self):
+        memo = smt_memo.QueryMemo()
+        warm = SmtSolver(memo=memo)
+        warm.add(_sat_formula())
+        warm.solve()
+
+        hitting = SmtSolver(memo=memo)
+        hitting.add(_sat_formula())
+        assert hitting.solve().status is Status.SAT
+        assert memo.hits == 1
+        assert hitting._encoder.sat.num_vars == 0
+        assert hitting._encoder.asserted == []
+
+    def test_miss_after_hit_reaches_the_unmemoized_sat_state(self):
+        f1, f2 = _sat_formula(), or_(p, ge(x, 4))
+        memo = smt_memo.QueryMemo()
+        warm = SmtSolver(memo=memo)
+        warm.add(f1)
+        warm.solve()
+
+        memoized = SmtSolver(memo=memo)
+        memoized.add(f1)
+        memoized.solve()  # a hit: nothing is encoded yet
+        memoized.add(f2)
+        assert memoized.solve().status is Status.SAT  # a miss
+        assert (memo.hits, memo.misses) == (1, 2)
+
+        plain = SmtSolver(memo=None)
+        plain.add(f1)
+        plain.add(f2)
+        assert plain.solve().status is Status.SAT
+        assert _sat_state(memoized) == _sat_state(plain)
+
+    def test_encoding_error_surfaces_from_solve(self):
+        solver = SmtSolver(memo=smt_memo.QueryMemo())
+        solver.add(ge(x, 0))
+        solver.add(and_(ge(x, 1), apply_fn("g", [x], BOOL)))  # recorded only
+        with pytest.raises(ValueError, match="function application"):
+            solver.solve()
 
 
 class TestMemoHousekeeping:
