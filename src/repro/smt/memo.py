@@ -20,9 +20,9 @@ it costs one step per assertion and renders nothing.
 **Before encoding.**  ``SmtSolver.add`` only simplifies and records a
 formula, and ``SmtSolver.solve`` looks the key up before CNF-encoding
 anything.  A hit therefore does no encoding and no SAT work; the pending
-assertions are encoded, in add order, by the next solve that misses.  An
-encoding error (an uninlined function application, say) surfaces from that
-``solve()``.
+assertions are encoded, in add order, by the next solve that misses, so
+an encoding error (an uninlined function application, say) surfaces from
+that ``solve()``.
 
 **Soundness.**  Only SAT/UNSAT results are stored: a budget or deadline
 abort (:class:`SolverBudgetExceeded`) describes the *run*, not the query,

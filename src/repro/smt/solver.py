@@ -117,9 +117,10 @@ class SmtSolver:
         Only simplifies and records the formula.  It is CNF-encoded, after
         every earlier assertion, at the start of the next :meth:`solve` that
         runs DPLL(T): a memo miss, a solver without a memo, or a captured
-        solve.  So a formula the encoder rejects, such as one with an
-        uninlined function application, raises ``ValueError`` from that
-        ``solve()``, not from ``add()``.  Clauses, atom canonicalisation and
+        solve.  So a formula the encoder rejects raises from that
+        ``solve()``, not from ``add()``: ``ValueError`` for an uninlined
+        function application, ``LinearityError`` for a nonlinear term.
+        Clauses, atom canonicalisation and
         learned theory lemmas persist across :meth:`solve` calls, so
         CEGIS-style loops that strengthen one query keep everything the
         solver already derived.
@@ -187,7 +188,7 @@ class SmtSolver:
         status/model/core without encoding anything or running DPLL(T); see
         :mod:`repro.smt.memo` for the soundness argument.  Any other solve
         first CNF-encodes the assertions added since the last encoding (see
-        :meth:`add`), so an encoding error raises ``ValueError`` here.
+        :meth:`add`), so an encoding error raises here.
         """
         if _capture.active() is not None:
             return self._solve_captured(assumptions)
