@@ -48,16 +48,15 @@ def _pair(max_learnts=4000.0, var_inc=1.0):
 def _run(solvers, steps):
     """Apply every step to both solvers, comparing them after each one."""
     fast, reference = solvers
-    for step in steps:
-        kind, lits = step[0], list(step[1]) if len(step) > 1 else []
+    for kind, lits in steps:
         if kind == "var":
             got, want = fast.new_var(), reference.new_var()
         elif kind == "clause":
             got, want = fast.add_clause(list(lits)), reference.add_clause(list(lits))
         else:
             got, want = fast.solve(list(lits)), reference.solve(list(lits))
-        assert got == want, step
-        assert _state(fast) == _state(reference), step
+        assert got == want, (kind, lits)
+        assert _state(fast) == _state(reference), (kind, lits)
 
 
 # Clause widths: mostly 3 and 4, rarely units, so most sequences reach
@@ -97,12 +96,9 @@ def test_every_step_matches_the_reference(rng, num_vars, max_learnts, var_inc):
     _run(_pair(max_learnts, var_inc), _steps(rng, num_vars))
 
 
-def _random_cnf(rng, num_vars, num_clauses, width=3):
+def _random_3cnf(rng, num_vars, num_clauses):
     return [
-        [
-            v if rng.random() < 0.5 else -v
-            for v in rng.sample(range(1, num_vars + 1), width)
-        ]
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
         for _ in range(num_clauses)
     ]
 
@@ -115,11 +111,11 @@ def test_restarts_and_reductions_match_the_reference():
     for seed in range(6):
         rng = random.Random(seed)
         solvers = _pair(max_learnts=8.0, var_inc=1e99 if seed % 2 else 1.0)
-        steps = [("clause", clause) for clause in _random_cnf(rng, 80, 300)]
+        steps = [("clause", clause) for clause in _random_3cnf(rng, 80, 300)]
         for _ in range(6):
             picked = rng.sample(range(1, 81), 3)
             steps.append(("solve", [v if rng.random() < 0.5 else -v for v in picked]))
-            steps.extend(("clause", clause) for clause in _random_cnf(rng, 80, 8))
+            steps.extend(("clause", clause) for clause in _random_3cnf(rng, 80, 8))
         steps.append(("solve", []))
         _run(solvers, steps)
         restarts += solvers[0].num_restarts
