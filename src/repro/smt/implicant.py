@@ -45,9 +45,7 @@ class ImplicantExtractor:
         if kind is Kind.VAR:
             var = self._encoder.bool_vars[term.payload]  # type: ignore[index]
             return self._model[var]
-        if kind in _COMPARISON_KINDS or (
-            kind is Kind.EQ and term.args[0].sort.name == "Int"
-        ):
+        if kind in _COMPARISON_KINDS:
             atom, positive, trivial = self._encoder.comparison_info[term]
             if atom is None:
                 return bool(trivial)

@@ -1,10 +1,11 @@
 """Formula normalisation and Tseitin CNF encoding.
 
-Pipeline: integer ``ite`` terms are lifted out of comparisons, integer
-equalities split into two inequalities, every comparison canonicalised into a
-:class:`~repro.smt.linear.LinAtom`, and the boolean skeleton is encoded into
-CNF with one SAT variable per distinct atom/boolean variable and one
-definition variable per connective (Tseitin transformation).
+Pipeline: one bottom-up pass lifts integer ``ite`` terms out of comparisons
+and splits integer equalities into two inequalities, every comparison is
+canonicalised into a :class:`~repro.smt.linear.LinAtom`, and the boolean
+skeleton is encoded into CNF with one SAT variable per distinct atom/boolean
+variable and one definition variable per connective (Tseitin
+transformation).
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from repro.smt.sat import SatSolver
 _COMPARISON_KINDS = (Kind.GE, Kind.GT, Kind.LE, Kind.LT)
 
 
-def lift_ite(term: Term) -> Term:
-    """Pull integer ``ite`` subterms out of comparisons and arithmetic.
+def prepare_formula(term: Term) -> Term:
+    """Pull integer ``ite`` subterms out of comparisons and arithmetic, and
+    rewrite integer equalities ``a = b`` into ``a >= b and b >= a``.
 
     After this pass, every ``ite`` in the formula has boolean branches (it is
-    part of the boolean skeleton), so comparisons are purely linear.
+    part of the boolean skeleton), every comparison is a purely linear
+    inequality, and every ``=`` left is a boolean equivalence.
     """
 
     def rw(t: Term) -> Term:
@@ -59,18 +62,9 @@ def lift_ite(term: Term) -> Term:
                             rw(Term.make(t.kind, else_args, t.payload, t.sort)),
                         ),
                     )
-        return t
-
-    return rewrite_bottom_up(term, rw)
-
-
-def split_int_eq(term: Term) -> Term:
-    """Rewrite integer equalities ``a = b`` into ``a >= b and a <= b``."""
-
-    def rw(t: Term) -> Term:
-        if t.kind is Kind.EQ and t.args[0].sort is INT:
-            a, b = t.args
-            return and_(ge(a, b), ge(b, a))
+            if t.kind is Kind.EQ and t.args[0].sort is INT:
+                a, b = t.args
+                return and_(ge(a, b), ge(b, a))
         return t
 
     return rewrite_bottom_up(term, rw)
@@ -98,7 +92,7 @@ class CnfEncoder:
 
     def assert_formula(self, formula: Term) -> Term:
         """Normalise, encode, and assert ``formula``; returns the prepared form."""
-        prepared = split_int_eq(lift_ite(formula))
+        prepared = prepare_formula(formula)
         lit = self.encode(prepared)
         self.sat.add_clause([lit])
         self.asserted.append(prepared)
@@ -111,7 +105,7 @@ class CnfEncoder:
         literal can be passed to :meth:`SatSolver.solve` to require the
         formula for one call only.
         """
-        prepared = split_int_eq(lift_ite(formula))
+        prepared = prepare_formula(formula)
         return prepared, self.encode(prepared)
 
     def atom_literal(self, atom: LinAtom, positive: bool) -> int:
@@ -167,7 +161,7 @@ class CnfEncoder:
             self.sat.add_clause([out, a])
             self.sat.add_clause([out, -b])
             return out
-        if kind is Kind.EQ:  # boolean equivalence after split_int_eq
+        if kind is Kind.EQ:  # boolean equivalence after prepare_formula
             a = self.encode(term.args[0])
             b = self.encode(term.args[1])
             out = self.sat.new_var()

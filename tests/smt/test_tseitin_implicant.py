@@ -18,7 +18,7 @@ from repro.lang import (
 )
 from repro.lang.traversal import subexpressions
 from repro.smt.implicant import extract_implicant
-from repro.smt.tseitin import CnfEncoder, lift_ite, split_int_eq
+from repro.smt.tseitin import CnfEncoder, prepare_formula
 
 x, y = int_var("x"), int_var("y")
 p = bool_var("p")
@@ -38,23 +38,23 @@ def _no_int_ite_under_comparison(term):
 class TestLiftIte:
     def test_comparison_over_ite(self):
         term = ge(ite(p, x, y), 0)
-        lifted = lift_ite(term)
+        lifted = prepare_formula(term)
         assert lifted is ite(p, ge(x, 0), ge(y, 0))
 
     def test_ite_inside_arithmetic(self):
         term = ge(add(ite(p, x, y), 1), 0)
-        lifted = lift_ite(term)
+        lifted = prepare_formula(term)
         assert _no_int_ite_under_comparison(lifted)
 
     def test_nested_ites(self):
         q = bool_var("q")
         term = eq(ite(p, ite(q, x, y), sub(x, y)), 0)
-        lifted = lift_ite(term)
+        lifted = prepare_formula(term)
         assert _no_int_ite_under_comparison(lifted)
 
     def test_semantics_preserved(self):
         term = ge(add(ite(ge(x, 0), x, y), ite(ge(y, 0), y, x)), 1)
-        lifted = lift_ite(term)
+        lifted = prepare_formula(term)
         for a in range(-3, 4):
             for b in range(-3, 4):
                 env = {"x": a, "y": b}
@@ -63,13 +63,13 @@ class TestLiftIte:
 
 class TestSplitIntEq:
     def test_splits_equality(self):
-        split = split_int_eq(eq(x, y))
+        split = prepare_formula(eq(x, y))
         assert split is and_(ge(x, y), ge(y, x))
 
     def test_bool_equality_untouched(self):
         q = bool_var("q")
         term = eq(p, q)
-        assert split_int_eq(term) is term
+        assert prepare_formula(term) is term
 
 
 class TestCnfEncoder:
