@@ -105,18 +105,6 @@ class Term:
     # -- Structural helpers ------------------------------------------------
 
     @property
-    def is_const(self) -> bool:
-        return self.kind is Kind.CONST
-
-    @property
-    def is_var(self) -> bool:
-        return self.kind is Kind.VAR
-
-    @property
-    def is_app(self) -> bool:
-        return self.kind is Kind.APP
-
-    @property
     def name(self) -> str:
         """Name of a variable or applied function."""
         if self.kind not in (Kind.VAR, Kind.APP):

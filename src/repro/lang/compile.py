@@ -60,13 +60,6 @@ _spec_cache: "OrderedDict[Tuple, CompiledSpec]" = OrderedDict()
 _func_cache: Dict[Tuple, "_LateBound"] = {}
 
 
-def clear_caches() -> None:
-    """Drop every compiled artifact (tests / memory pressure)."""
-    _term_cache.clear()
-    _spec_cache.clear()
-    _func_cache.clear()
-
-
 class _Fallback(Exception):
     """Internal: this term cannot be compiled; use the walker."""
 

@@ -61,6 +61,10 @@ ProgressFn = Callable[[JobResult], None]
 #: evicted oldest-first so a long-lived daemon never leaks job state.
 DEFAULT_LIVE_CAP = 10_000
 
+#: Seconds the scheduler waits for a worker message or a submission before
+#: it re-checks deadlines.
+POLL_INTERVAL = 0.05
+
 
 class PoolError(RuntimeError):
     """The pool was used after :meth:`WorkerPool.close`."""
@@ -225,7 +229,6 @@ class WorkerPool:
         queue_size: Optional[int] = None,
         cache: Optional[ResultCache] = None,
         start_method: Optional[str] = None,
-        poll_interval: float = 0.05,
         flight_dir: Optional[str] = None,
         live_cap: int = DEFAULT_LIVE_CAP,
         live_ttl: Optional[float] = None,
@@ -237,7 +240,6 @@ class WorkerPool:
         self.max_retries = max(0, max_retries)
         self.queue_size = queue_size if queue_size is not None else 2 * self.size
         self.cache = cache
-        self.poll_interval = poll_interval
         #: Soft per-worker RSS budget (MiB).  The scheduler polls every
         #: busy worker's resident set alongside its deadline checks; a
         #: worker over budget is terminated and its job completes as
@@ -268,12 +270,13 @@ class WorkerPool:
         self.merge_telemetry = merge_telemetry
         self._live: Dict[str, Dict] = {}
         self._live_lock = threading.Lock()
-        method = start_method or os.environ.get("REPRO_SERVICE_START_METHOD")
-        if method is None:
+        if start_method is None:
             # fork is markedly cheaper where available; jobs carry only text
             # and plain dataclasses, so either start method is correct.
-            method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        self._ctx = mp.get_context(method)
+            start_method = (
+                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+            )
+        self._ctx = mp.get_context(start_method)
         self._workers: List[_Worker] = []
         self._closed = False
         self._job_seq = 0
@@ -282,7 +285,7 @@ class WorkerPool:
         self.jobs_dispatched = 0
         # Submission plumbing: tickets flow through ``_inbox`` to the
         # scheduler thread; ``_wake_w`` interrupts its connection poll so a
-        # submit is picked up immediately instead of after ``poll_interval``.
+        # submit is picked up immediately instead of after ``POLL_INTERVAL``.
         self._inbox: deque = deque()
         self._cond = threading.Condition()
         self._service: Optional[threading.Thread] = None
@@ -554,12 +557,12 @@ class WorkerPool:
                 if not busy:
                     with self._cond:
                         if not self._inbox and not self._stopping:
-                            self._cond.wait(timeout=self.poll_interval)
+                            self._cond.wait(timeout=POLL_INTERVAL)
                     self._drain_wake_pipe()
                     continue
                 ready = _conn_wait(
                     [w.conn for w in busy] + [self._wake_r],
-                    timeout=self.poll_interval,
+                    timeout=POLL_INTERVAL,
                 )
                 if self._wake_r in ready:
                     self._drain_wake_pipe()

@@ -178,13 +178,6 @@ def _floor_div(a: int, b: int) -> int:
     return a // b  # Python's // already floors toward negative infinity.
 
 
-def atom_constraint(atom: LinAtom, positive: bool) -> LinExpr:
-    """The linear constraint (as ``expr >= 0``) asserted by a literal."""
-    if positive:
-        return atom.to_linexpr()
-    return atom.negate().to_linexpr()
-
-
 def max_abs_coefficient(exprs: Iterable[LinExpr]) -> int:
     """Largest absolute coefficient/constant, used for small-model bounds."""
     biggest = 1

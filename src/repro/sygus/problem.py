@@ -168,12 +168,6 @@ class SygusProblem:
                 return env
         return None
 
-    def satisfies(
-        self, body: Term, examples: Sequence[Mapping[str, Value]]
-    ) -> bool:
-        """Batch check: ``body`` satisfies the spec on *every* example."""
-        return self.first_violation(body, examples) is None
-
     def verify(
         self, body: Term, deadline: Optional[float] = None
     ) -> Tuple[bool, Optional[Dict[str, Value]]]:
@@ -201,9 +195,6 @@ class SygusProblem:
 
     def with_spec(self, spec: Term, name_suffix: str = "") -> "SygusProblem":
         return replace(self, spec=spec, name=self.name + name_suffix)
-
-    def with_synth_fun(self, synth_fun: SynthFun, name_suffix: str = "") -> "SygusProblem":
-        return replace(self, synth_fun=synth_fun, name=self.name + name_suffix)
 
     def with_grammar(self, grammar: Grammar, name_suffix: str = "") -> "SygusProblem":
         return replace(

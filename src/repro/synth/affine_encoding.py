@@ -149,14 +149,6 @@ class AffineSpineEncoder:
     def _op_selector(self, node: int, op_index: int) -> Term:
         return bool_var(f"{self.prefix}!o{node}_{op_index}")
 
-    def unknowns(self) -> List[Term]:
-        result: List[Term] = []
-        for node in range(self.num_nodes):
-            for j in range(len(self.synth_fun.params)):
-                result.append(self._coeff(node, j))
-            result.append(self._const(node))
-        return result
-
     def static_constraints(self, coeff_bound: int, const_bound: int) -> Term:
         parts: List[Term] = []
         for node in range(self.num_nodes):

@@ -62,15 +62,6 @@ class TreeShape:
     def internal(self) -> int:
         return num_internal(self.height)
 
-    def coeff_vars(self) -> List[Term]:
-        """All unknown coefficient/constant variables, in a fixed order."""
-        unknowns: List[Term] = []
-        for node in range(self.nodes):
-            for j in range(self.arity):
-                unknowns.append(int_var(coeff_name(self.prefix, node, j)))
-            unknowns.append(int_var(const_name(self.prefix, node)))
-        return unknowns
-
     # -- Symbolic interpretation (interpret_h) --------------------------------
 
     def node_affine(self, node: int, arg_values: Sequence[int]) -> Term:

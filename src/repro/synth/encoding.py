@@ -1,6 +1,8 @@
 """Symbolic candidate encodings for fixed-height synthesis (Section 5.2).
 
-Two encoders implement a common duck-typed interface:
+Two encoders live here; they and
+:class:`~repro.synth.affine_encoding.AffineSpineEncoder` (for operator
+grammars such as ``G_qm``) implement a common duck-typed interface:
 
 - :class:`CliaTreeEncoder` — the decision-tree-normal-form encoding for the
   full CLIA grammar (Figures 5 and 6): a candidate is a vector of unknown
@@ -14,11 +16,13 @@ Two encoders implement a common duck-typed interface:
 
 The interface:
 
-``unknowns()``            -> list of unknown variables
-``static_constraints(b)`` -> Term bounding/structuring unknowns
-``app_instance(values)``  -> symbolic Term for ``f(values)``
-``decode(model, params)`` -> candidate body Term
-``initial_candidate()``   -> a syntactically valid starter candidate
+``static_constraints(c, d)`` -> Term bounding/structuring the unknowns,
+                                coefficients by ``c`` and constants by ``d``
+``has_const_unknowns``       -> whether the constant bound ``d`` matters
+``app_instance(values)``     -> symbolic Term for ``f(values)`` plus side
+                                constraints
+``decode(model, params)``    -> candidate body Term
+``initial_candidate()``      -> a syntactically valid starter candidate
 """
 
 from __future__ import annotations
@@ -105,9 +109,6 @@ class CliaTreeEncoder:
             raise EncodingUnsupported("Bool parameters are not supported")
         self.synth_fun = synth_fun
         self.shape = TreeShape(prefix, height, len(int_params), synth_fun.return_sort)
-
-    def unknowns(self) -> List[Term]:
-        return self.shape.coeff_vars()
 
     def static_constraints(self, coeff_bound: int, const_bound: int) -> Term:
         parts: List[Term] = []
@@ -221,14 +222,6 @@ class GeneralGrammarEncoder:
             for idx, rhs in enumerate(rules)
             if self._is_internal(node) or _count_refs(rhs) == 0
         ]
-
-    def unknowns(self) -> List[Term]:
-        result: List[Term] = []
-        for node in range(self.num_nodes):
-            for nt, rules in self.grammar.productions.items():
-                for idx in range(len(rules)):
-                    result.append(self._selector(node, nt, idx))
-        return result
 
     @property
     def has_const_unknowns(self) -> bool:

@@ -98,10 +98,3 @@ class TestStaticConstraints:
         from repro.lang import Kind
 
         assert constraints.kind is Kind.AND
-
-    def test_unknown_listing_covers_every_node(self):
-        fun = SynthFun("f", (x, y), INT, qm_grammar((x, y)))
-        encoder = AffineSpineEncoder(fun, 2, "t")
-        names = {u.payload for u in encoder.unknowns()}
-        for node in range(encoder.num_nodes):
-            assert f"t!d{node}" in names

@@ -28,15 +28,6 @@ class TestShapeArithmetic:
         with pytest.raises(ValueError):
             num_nodes(0)
 
-    def test_unknown_listing(self):
-        shape = TreeShape("t", 2, 2, INT)
-        unknowns = shape.coeff_vars()
-        # 3 nodes x (2 coefficients + 1 constant).
-        assert len(unknowns) == 9
-        names = {u.payload for u in unknowns}
-        assert coeff_name("t", 0, 0) in names
-        assert const_name("t", 2) in names
-
 
 class TestFigure6Example:
     def test_max2_tree(self):
