@@ -58,7 +58,6 @@ def crossing_counters() -> None:
 def compare_with_loopinvgen() -> None:
     print("\n== the LoopInvGen baseline on the same problem ==")
     from repro.baselines import LoopInvGenSolver
-    from repro.synth.config import SynthConfig
 
     x = int_var("x")
     problem = InvariantProblem.from_updates(
@@ -67,7 +66,7 @@ def compare_with_loopinvgen() -> None:
         (ite(lt(x, 100), add(x, 1), x),),
         implies(not_(lt(x, 100)), eq(x, 100)),
     ).to_sygus()
-    outcome = LoopInvGenSolver(SynthConfig(timeout=60)).synthesize(problem)
+    outcome = LoopInvGenSolver(60).synthesize(problem)
     if outcome.solution is not None:
         print("loopinvgen invariant:", outcome.solution.define_fun())
     else:

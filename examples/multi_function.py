@@ -18,7 +18,6 @@ from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.multi import MultiSygusProblem
 from repro.sygus.problem import SynthFun
-from repro.synth.config import SynthConfig
 from repro.synth.multi import MultiFunctionSynthesizer
 
 x, y = int_var("x"), int_var("y")
@@ -33,12 +32,9 @@ def separable() -> None:
         eq(g.apply((x,)), sub(x, 1)),
     )
     problem = MultiSygusProblem((f, g), spec, (x,), name="next-prev")
-    solution, _ = MultiFunctionSynthesizer(SynthConfig(timeout=60)).synthesize(
-        problem
-    )
+    solution = MultiFunctionSynthesizer(60).synthesize(problem).solution
     assert solution is not None
-    for rendered in solution.define_funs():
-        print(rendered)
+    print(solution.define_fun())
 
 
 def coupled() -> None:
@@ -54,12 +50,9 @@ def coupled() -> None:
         eq(add(fx, gx), add(x, y)),  # couples f and g
     )
     problem = MultiSygusProblem((f, g), spec, (x, y), name="max-min-pair")
-    solution, stats = MultiFunctionSynthesizer(
-        SynthConfig(timeout=120)
-    ).synthesize(problem)
+    solution = MultiFunctionSynthesizer(120).synthesize(problem).solution
     assert solution is not None
-    for rendered in solution.define_funs():
-        print(rendered)
+    print(solution.define_fun())
     ok, _ = problem.verify(solution.bodies)
     print("jointly verified:", ok)
 

@@ -12,9 +12,12 @@ Quick start::
     problem = parse_sygus_text(open("max2.sl").read())
     outcome = solve_sygus(problem, timeout=30)
     print(outcome.solution.define_fun())
+
+Every solver takes one setting, its wall-clock budget:
+``Solver(timeout=None).synthesize(problem)`` returns a
+:class:`SynthesisOutcome`.
 """
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.sygus.parser import parse_sygus_file, parse_sygus_text
@@ -22,24 +25,21 @@ from repro.sygus.problem import InvariantProblem, Solution, SygusProblem, SynthF
 from repro.synth import (
     CooperativeSynthesizer,
     HeightEnumerationSynthesizer,
-    SynthConfig,
     SynthesisOutcome,
 )
 
 __version__ = "1.0.0"
 
 
-def solve_sygus(
-    problem: SygusProblem,
-    timeout: Optional[float] = None,
-    config: Optional[SynthConfig] = None,
-) -> SynthesisOutcome:
-    """Solve a SyGuS problem with the cooperative synthesizer (DryadSynth)."""
-    if config is None:
-        config = SynthConfig(timeout=timeout)
-    elif timeout is not None:
-        config = replace(config, timeout=timeout)
-    return CooperativeSynthesizer(config).synthesize(problem)
+def solve_sygus(problem, timeout: Optional[float] = None) -> SynthesisOutcome:
+    """Solve a parsed SyGuS problem with DryadSynth.
+
+    A single-function problem runs the cooperative synthesizer; a
+    multi-function one runs its multi-function extension.
+    """
+    from repro.service.jobs import build_solver
+
+    return build_solver("dryadsynth", problem, timeout).synthesize(problem)
 
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "SynthFun",
     "CooperativeSynthesizer",
     "HeightEnumerationSynthesizer",
-    "SynthConfig",
     "SynthesisOutcome",
     "solve_sygus",
 ]

@@ -33,10 +33,12 @@ from repro.lang.traversal import (
 )
 from repro.smt.solver import SolverBudgetExceeded
 from repro.sygus.problem import Solution, SygusProblem
-from repro.synth.cegis import CegisTimeout
-from repro.synth.config import SynthConfig
+from repro.synth.cegis import MAX_CEGIS_ROUNDS, CegisTimeout
 from repro.synth.encoding import grammar_is_full_clia
 from repro.synth.result import SynthesisOutcome, SynthesisStats
+
+#: Size cap of the enumerative fallback (CVC4's weaker mode).
+FALLBACK_MAX_SIZE = 5
 
 
 class CegqiSolver:
@@ -44,19 +46,13 @@ class CegqiSolver:
 
     name = "cegqi"
 
-    def __init__(
-        self,
-        config: Optional[SynthConfig] = None,
-        fallback_max_size: int = 5,
-    ) -> None:
-        self.config = config or SynthConfig()
-        self.fallback_max_size = fallback_max_size
+    def __init__(self, timeout: Optional[float] = None) -> None:
+        self.timeout = timeout
 
     def synthesize(self, problem: SygusProblem) -> SynthesisOutcome:
-        config = self.config
         stats = SynthesisStats()
         start = time.monotonic()
-        deadline = start + config.timeout if config.timeout is not None else None
+        deadline = start + self.timeout if self.timeout is not None else None
         body: Optional[Term] = None
         timed_out = False
         try:
@@ -102,7 +98,7 @@ class CegqiSolver:
         # first pruned by which witnesses are ever needed (CEGIS-style).
         needed: List[Term] = []
         examples: List[dict] = []
-        for _ in range(self.config.max_cegis_rounds):
+        for _ in range(MAX_CEGIS_ROUNDS):
             if deadline is not None and time.monotonic() > deadline:
                 raise CegisTimeout("cegqi deadline exceeded")
             candidate = self._cascade(psi, return_var, needed, invocation, problem)
@@ -203,11 +199,7 @@ class CegqiSolver:
         remaining = None
         if deadline is not None:
             remaining = max(deadline - time.monotonic(), 0.1)
-        config = SynthConfig(
-            timeout=remaining,
-            max_cegis_rounds=self.config.max_cegis_rounds,
-        )
-        solver = EnumerativeSolver(config, max_size=self.fallback_max_size)
+        solver = EnumerativeSolver(remaining, max_size=FALLBACK_MAX_SIZE)
         outcome = solver.synthesize(problem)
         stats.cegis_iterations += outcome.stats.cegis_iterations
         if outcome.timed_out:

@@ -34,7 +34,6 @@ from repro.sygus.grammar import (
 )
 from repro.sygus.problem import Solution, SygusProblem
 from repro.synth.cegis import CegisTimeout, Example, cegis
-from repro.synth.config import SynthConfig
 from repro.synth.result import SynthesisOutcome, SynthesisStats
 
 
@@ -178,26 +177,20 @@ class EnumerativeSolver:
 
     name = "eusolver"
 
-    def __init__(self, config: Optional[SynthConfig] = None, max_size: int = 9):
-        self.config = config or SynthConfig()
+    def __init__(self, timeout: Optional[float] = None, max_size: int = 9):
+        self.timeout = timeout
         self.max_size = max_size
 
     def synthesize(self, problem: SygusProblem) -> SynthesisOutcome:
-        config = self.config
         stats = SynthesisStats()
         start = time.monotonic()
-        deadline = start + config.timeout if config.timeout is not None else None
+        deadline = start + self.timeout if self.timeout is not None else None
 
         def ind_synth(examples: List[Example]) -> Optional[Term]:
             return self.synthesize_from_examples(problem, examples, deadline, stats)
 
         try:
-            body, _, iterations = cegis(
-                problem,
-                ind_synth,
-                max_rounds=config.max_cegis_rounds,
-                deadline=deadline,
-            )
+            body, _, iterations = cegis(problem, ind_synth, deadline=deadline)
         except (CegisTimeout, SolverBudgetExceeded):
             return SynthesisOutcome(None, stats, timed_out=True)
         stats.cegis_iterations += iterations

@@ -29,10 +29,15 @@ from repro.lang.traversal import subexpressions
 from repro.smt.solver import SolverBudgetExceeded
 from repro.sygus.problem import InvariantProblem, Solution, SygusProblem
 from repro.synth.cegis import CegisTimeout
-from repro.synth.config import SynthConfig
 from repro.synth.result import SynthesisOutcome, SynthesisStats
 
 State = Tuple[int, ...]
+
+#: Learn/check rounds before the search gives up.
+MAX_ROUNDS = 60
+
+#: Most transition steps one unrolling of the loop follows.
+MAX_UNROLL = 300
 
 
 class LoopInvGenSolver:
@@ -40,21 +45,13 @@ class LoopInvGenSolver:
 
     name = "loopinvgen"
 
-    def __init__(
-        self,
-        config: Optional[SynthConfig] = None,
-        max_rounds: int = 60,
-        max_unroll: int = 300,
-    ) -> None:
-        self.config = config or SynthConfig()
-        self.max_rounds = max_rounds
-        self.max_unroll = max_unroll
+    def __init__(self, timeout: Optional[float] = None) -> None:
+        self.timeout = timeout
 
     def synthesize(self, problem: SygusProblem) -> SynthesisOutcome:
         stats = SynthesisStats()
         start = time.monotonic()
-        config = self.config
-        deadline = start + config.timeout if config.timeout is not None else None
+        deadline = start + self.timeout if self.timeout is not None else None
         invariant = problem.invariant
         if problem.track != "INV" or invariant is None:
             return SynthesisOutcome(None, stats)
@@ -85,7 +82,7 @@ class LoopInvGenSolver:
         seed = self._sample_pre(invariant, variables)
         if seed is not None:
             positives.update(self._unroll(invariant, seed))
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             if deadline is not None and time.monotonic() > deadline:
                 raise CegisTimeout("loopinvgen deadline exceeded")
             stats.cegis_iterations += 1
@@ -171,7 +168,7 @@ class LoopInvGenSolver:
         variables = [v.payload for v in invariant.variables]
         states = [initial]
         current = initial
-        for _ in range(self.max_unroll):
+        for _ in range(MAX_UNROLL):
             env = dict(zip(variables, current))
             try:
                 succ = tuple(

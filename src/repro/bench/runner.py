@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.suite import Benchmark, full_suite
 from repro.baselines import CegqiSolver, EnumerativeSolver, LoopInvGenSolver
-from repro.synth.config import SynthConfig
 from repro.synth.cooperative import CooperativeSynthesizer
 from repro.synth.deduction import Deducer
 from repro.synth.fixed_height import HeightEnumerationSynthesizer
@@ -64,8 +63,8 @@ class _DeductionOnlySolver:
 
     name = "deduction"
 
-    def __init__(self, config: Optional[SynthConfig] = None):
-        self.config = config or SynthConfig()
+    def __init__(self, timeout: Optional[float] = None):
+        self.timeout = timeout
 
     def synthesize(self, problem) -> SynthesisOutcome:
         from repro.sygus.problem import Solution
@@ -81,17 +80,18 @@ class _DeductionOnlySolver:
         )
 
 
-def _euback_engine(problem, height, examples, config, deadline, stats):
+def _euback_engine(problem, height, examples, deadline, stats, session_store=None):
     """EUSolver as the enumerative component (the Figure 16 hybrid).
 
     The paper could not bound EUSolver's search per height, so each call
     searches a growing size class instead of an exact height.  Like the
     fixed-height engine it replaces, this runs a full CEGIS loop, so only
-    *verified* candidates are returned.
+    *verified* candidates are returned.  It keeps no state between calls,
+    so it ignores the node's ``session_store``.
     """
     from repro.synth.cegis import cegis
 
-    solver = EnumerativeSolver(config, max_size=3 * height)
+    solver = EnumerativeSolver(max_size=3 * height)
 
     def ind_synth(current_examples):
         return solver.synthesize_from_examples(
@@ -99,49 +99,33 @@ def _euback_engine(problem, height, examples, config, deadline, stats):
         )
 
     body, _, iterations = cegis(
-        problem,
-        ind_synth,
-        examples=examples,
-        max_rounds=config.max_cegis_rounds,
-        deadline=deadline,
+        problem, ind_synth, examples=examples, deadline=deadline
     )
     stats.cegis_iterations += iterations
     return body
 
 
-def make_solver(
-    name: str,
-    timeout: Optional[float] = None,
-    config: Optional[SynthConfig] = None,
-):
-    """Instantiate a solver by portfolio name.
-
-    Pass ``config`` to control every knob (the service's job engine does);
-    ``timeout``, when given, overrides the config's budget.
-    """
-    if config is None:
-        config = SynthConfig(timeout=timeout)
-    elif timeout is not None:
-        config = replace(config, timeout=timeout)
+def make_solver(name: str, timeout: Optional[float] = None):
+    """Instantiate a solver by portfolio name with a wall-clock budget."""
     if name == "portfolio":
         from repro.synth.portfolio import SequentialPortfolio
 
-        return SequentialPortfolio.default(config)
+        return SequentialPortfolio.default(timeout)
     if name == "dryadsynth":
-        return CooperativeSynthesizer(config)
+        return CooperativeSynthesizer(timeout)
     if name == "cegqi":
-        return CegqiSolver(config)
+        return CegqiSolver(timeout)
     if name == "eusolver":
-        return EnumerativeSolver(config)
+        return EnumerativeSolver(timeout)
     if name == "loopinvgen":
-        return LoopInvGenSolver(config)
+        return LoopInvGenSolver(timeout)
     if name == "height-enum":
-        return HeightEnumerationSynthesizer(config)
+        return HeightEnumerationSynthesizer(timeout)
     if name == "deduction":
-        return _DeductionOnlySolver(config)
+        return _DeductionOnlySolver(timeout)
     if name == "dryadsynth-euback":
         return CooperativeSynthesizer(
-            config, enum_engine=_euback_engine, name="dryadsynth-euback"
+            timeout, enum_engine=_euback_engine, name="dryadsynth-euback"
         )
     raise ValueError(f"unknown solver {name!r}")
 

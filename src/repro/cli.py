@@ -46,7 +46,7 @@ import sys
 import time
 from typing import Optional
 
-from repro.bench.runner import SOLVER_NAMES, make_solver
+from repro.bench.runner import SOLVER_NAMES
 from repro.sygus.parser import parse_sygus_file
 
 
@@ -184,12 +184,11 @@ def _single_main(args) -> int:
     except (OSError, Exception) as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from repro.sygus.multi import MultiSygusProblem
-
-    if isinstance(problem, MultiSygusProblem):
-        return _run_multi(problem, args)
-    solver = make_solver(args.solver, args.timeout)
     import os
+
+    from repro.service.jobs import build_solver
+
+    solver = build_solver(args.solver, problem, args.timeout)
 
     problem_name = os.path.splitext(os.path.basename(args.file))[0]
     start = time.monotonic()
@@ -222,30 +221,6 @@ def _single_main(args) -> int:
         print("fail" if not outcome.timed_out else "timeout")
         return 1
     print(outcome.solution.define_fun())
-    return 0
-
-
-def _run_multi(problem, args) -> int:
-    """Solve a multi-function problem (always via the multi synthesizer)."""
-    from repro.synth.config import SynthConfig
-    from repro.synth.multi import MultiFunctionSynthesizer
-
-    synthesizer = MultiFunctionSynthesizer(SynthConfig(timeout=args.timeout))
-    if _wants_recording(args):
-        from repro import obs
-
-        with obs.recording() as recorder:
-            solution, stats = synthesizer.synthesize(problem)
-        _write_telemetry(recorder, args)
-    else:
-        solution, stats = synthesizer.synthesize(problem)
-    if args.stats:
-        print(f"; stats={stats}", file=sys.stderr)
-    if solution is None:
-        print("fail")
-        return 1
-    for rendered in solution.define_funs():
-        print(rendered)
     return 0
 
 
@@ -1013,16 +988,9 @@ def _explain_main(argv) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         from repro import obs
-        from repro.sygus.multi import MultiSygusProblem
+        from repro.service.jobs import build_solver
 
-        if isinstance(problem, MultiSygusProblem):
-            print(
-                "error: explain runs single-function problems; solve with "
-                "--spans-out and explain the dump instead",
-                file=sys.stderr,
-            )
-            return 2
-        solver = make_solver(args.solver, args.timeout)
+        solver = build_solver(args.solver, problem, args.timeout)
         with obs.recording() as recorder:
             outcome = solver.synthesize(problem)
         status = "solved" if outcome.solution is not None else (

@@ -10,11 +10,7 @@ text, never as live :class:`~repro.lang.ast.Term` objects.
 """
 
 from repro.service.cache import ResultCache
-from repro.service.fingerprint import (
-    canonical_config,
-    canonical_problem_text,
-    problem_fingerprint,
-)
+from repro.service.fingerprint import canonical_problem_text, problem_fingerprint
 from repro.service.jobs import (
     CANCELLED,
     CRASHED,
@@ -38,7 +34,6 @@ __all__ = [
     "ResultCache",
     "SynthesisJob",
     "WorkerPool",
-    "canonical_config",
     "canonical_problem_text",
     "execute_job",
     "parse_solution_text",

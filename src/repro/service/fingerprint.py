@@ -5,29 +5,18 @@ whitespace, comments, command order quirks the parser normalizes away) get
 the same fingerprint: the text is parsed and re-serialized through
 :mod:`repro.sygus.serializer`, which yields one canonical s-expression per
 problem (constraints, grammar, declarations, in fixed order).  The solver
-name and the full :class:`~repro.synth.config.SynthConfig` are hashed in
-because they change the outcome, not just the presentation.
+name and the timeout are hashed in because they change the outcome, not
+just the presentation.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict
-from typing import Optional, Union
-
-from repro.synth.config import SynthConfig
+from typing import Optional
 
 #: Bump when result semantics change; cache entries from other versions are
 #: ignored (see :mod:`repro.service.cache`).
-FINGERPRINT_VERSION = 1
-
-
-def canonical_config(config: Optional[SynthConfig]) -> str:
-    """A stable one-line rendering of a config's semantic content."""
-    if config is None:
-        config = SynthConfig()
-    items = sorted(asdict(config).items())
-    return " ".join(f"{key}={value!r}" for key, value in items)
+FINGERPRINT_VERSION = 2
 
 
 def canonical_problem_text(problem_or_text) -> str:
@@ -60,15 +49,15 @@ def canonical_problem_text(problem_or_text) -> str:
 def problem_fingerprint(
     problem_or_text,
     solver: str = "",
-    config: Optional[SynthConfig] = None,
+    timeout: Optional[float] = None,
 ) -> str:
-    """SHA-256 fingerprint of (canonical problem, solver, config)."""
+    """SHA-256 fingerprint of (canonical problem, solver, timeout)."""
     payload = "\n".join(
         (
             f"repro-fingerprint/{FINGERPRINT_VERSION}",
             canonical_problem_text(problem_or_text),
             f"solver={solver}",
-            f"config={canonical_config(config)}",
+            f"timeout={timeout!r}",
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -1,22 +1,20 @@
 """Job and result types for the synthesis service, plus worker-side execution.
 
 A :class:`SynthesisJob` is fully picklable: the problem travels as SyGuS-IF
-text, the solver as a registry name, the configuration as the plain
-:class:`~repro.synth.config.SynthConfig` dataclass.  The worker parses the
-text, runs the named solver and answers with a :class:`JobResult` whose
-solution (if any) is again serialized text — :class:`~repro.lang.ast.Term`
-values never cross the process boundary.
+text, the solver as a registry name and the budget as a number of seconds.
+The worker parses the text, runs the named solver and answers with a
+:class:`JobResult` whose solution (if any) is again serialized text —
+:class:`~repro.lang.ast.Term` values never cross the process boundary.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import trace as obs_trace
-from repro.synth.config import SynthConfig
 
 # Job outcome statuses (plain strings so JSON round-trips are trivial).
 SOLVED = "solved"
@@ -43,9 +41,7 @@ class SynthesisJob:
 
     problem_text: str
     solver: str = "dryadsynth"
-    config: SynthConfig = field(default_factory=SynthConfig)
-    #: Soft wall-clock budget enforced inside the worker (overrides
-    #: ``config.timeout`` when set).
+    #: Soft wall-clock budget enforced inside the worker (None = unlimited).
     timeout: Optional[float] = None
     #: Hard deadline enforced by the parent (terminate + retry).  Defaults to
     #: ``timeout * HARD_TIMEOUT_FACTOR + HARD_TIMEOUT_MARGIN``.
@@ -72,28 +68,17 @@ class SynthesisJob:
     params: Dict[str, str] = field(default_factory=dict)
 
     @property
-    def effective_timeout(self) -> Optional[float]:
-        return self.timeout if self.timeout is not None else self.config.timeout
-
-    @property
     def effective_hard_timeout(self) -> Optional[float]:
         if self.hard_timeout is not None:
             return self.hard_timeout
-        soft = self.effective_timeout
-        if soft is None:
-            return None
-        return soft * HARD_TIMEOUT_FACTOR + HARD_TIMEOUT_MARGIN
-
-    def run_config(self) -> SynthConfig:
-        """The worker-side config, with the job's soft timeout applied."""
         if self.timeout is None:
-            return self.config
-        return replace(self.config, timeout=self.timeout)
+            return None
+        return self.timeout * HARD_TIMEOUT_FACTOR + HARD_TIMEOUT_MARGIN
 
     def fingerprint(self) -> str:
         from repro.service.fingerprint import problem_fingerprint
 
-        return problem_fingerprint(self.problem_text, self.solver, self.run_config())
+        return problem_fingerprint(self.problem_text, self.solver, self.timeout)
 
     @staticmethod
     def from_problem(problem, solver: str = "dryadsynth", **kwargs) -> "SynthesisJob":
@@ -174,9 +159,9 @@ class JobResult:
 class FixedHeightJobSolver:
     """Run Algorithm 2 at one fixed height (the process-parallel height racer)."""
 
-    def __init__(self, height: int, config: Optional[SynthConfig] = None):
+    def __init__(self, height: int, timeout: Optional[float] = None):
         self.height = height
-        self.config = config or SynthConfig()
+        self.timeout = timeout
         self.name = f"fixed-height@{height}"
 
     def synthesize(self, problem):
@@ -187,17 +172,15 @@ class FixedHeightJobSolver:
         from repro.synth.fixed_height import fixed_height
         from repro.synth.result import SynthesisOutcome, SynthesisStats
 
-        config = self.config
         stats = SynthesisStats()
         start = time.monotonic()
-        deadline = start + config.timeout if config.timeout is not None else None
+        deadline = start + self.timeout if self.timeout is not None else None
         stats.heights_tried += 1
         stats.max_height_reached = self.height
         try:
             body = fixed_height(
                 problem,
                 self.height,
-                config,
                 examples=[],
                 deadline=deadline,
                 stats=stats,
@@ -213,13 +196,24 @@ class FixedHeightJobSolver:
         return SynthesisOutcome(Solution(problem, body, self.name, elapsed), stats)
 
 
-def build_solver(name: str, config: SynthConfig):
-    """Instantiate a solver by service name (superset of the bench registry)."""
+def build_solver(name: str, problem, timeout: Optional[float] = None):
+    """The solver to run on a parsed ``problem``.
+
+    A multi-function problem always gets the multi-function synthesizer,
+    whatever ``name`` says; otherwise ``name`` is a service name (the bench
+    registry plus ``fixed-height@H``).
+    """
+    from repro.sygus.multi import MultiSygusProblem
+
+    if isinstance(problem, MultiSygusProblem):
+        from repro.synth.multi import MultiFunctionSynthesizer
+
+        return MultiFunctionSynthesizer(timeout)
     if name.startswith("fixed-height@"):
-        return FixedHeightJobSolver(int(name.split("@", 1)[1]), config)
+        return FixedHeightJobSolver(int(name.split("@", 1)[1]), timeout)
     from repro.bench.runner import make_solver
 
-    return make_solver(name, config=config)
+    return make_solver(name, timeout)
 
 
 def parse_solution_text(problem, text: str):
@@ -370,7 +364,7 @@ def _open_flight(job: SynthesisJob):
             # even when the worker dies before shipping any telemetry.
             meta["trace_id"] = ctx.trace_id
         flight = FlightRecorder(job.flight_journal, meta=meta)
-        flight.note("job.start", timeout=job.effective_timeout or 0.0)
+        flight.note("job.start", timeout=job.timeout or 0.0)
         return flight
     except OSError:
         return None
@@ -449,15 +443,10 @@ def _execute_recorded(job: SynthesisJob, start: float, flight) -> JobResult:
 
 
 def _execute_real_job(job: SynthesisJob, start: float) -> JobResult:
-    from repro.sygus.multi import MultiSygusProblem
     from repro.sygus.parser import parse_sygus_text
 
     problem = parse_sygus_text(job.problem_text, name=job.name)
-    config = job.run_config()
-    if isinstance(problem, MultiSygusProblem):
-        return _execute_multi(job, problem, config, start)
-    solver = build_solver(job.solver, config)
-    outcome = solver.synthesize(problem)
+    outcome = build_solver(job.solver, problem, job.timeout).synthesize(problem)
     elapsed = time.monotonic() - start
     result = JobResult(
         job.job_id,
@@ -473,23 +462,4 @@ def _execute_real_job(job: SynthesisJob, start: float) -> JobResult:
         result.solution_text = outcome.solution.define_fun()
         result.solution_size = outcome.solution.size
         result.solution_height = outcome.solution.height
-    return result
-
-
-def _execute_multi(job, problem, config: SynthConfig, start: float) -> JobResult:
-    """Multi-function problems always go through the multi synthesizer."""
-    from repro.synth.multi import MultiFunctionSynthesizer
-
-    solution, stats = MultiFunctionSynthesizer(config).synthesize(problem)
-    elapsed = time.monotonic() - start
-    result = JobResult(
-        job.job_id,
-        job.name,
-        job.solver,
-        SOLVED if solution is not None else UNSOLVED,
-        wall_time=elapsed,
-        stats=asdict(stats),
-    )
-    if solution is not None:
-        result.solution_text = "\n".join(solution.define_funs())
     return result

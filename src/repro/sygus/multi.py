@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import and_, bool_const
+from repro.lang.printer import define_fun_sexpr
 from repro.lang.traversal import contains_app, substitute_apps
 from repro.sygus.problem import Solution, SygusProblem, SynthFun
 
@@ -136,18 +137,19 @@ class MultiSolution:
     engine: str = "unknown"
     time_seconds: float = 0.0
 
-    def define_funs(self) -> List[str]:
-        from repro.lang.printer import define_fun_sexpr
-
-        rendered = []
-        for fun in self.problem.synth_funs:
-            rendered.append(
-                define_fun_sexpr(
-                    fun.name, fun.params, fun.return_sort, self.bodies[fun.name]
-                )
+    def define_fun(self) -> str:
+        """Every function's ``(define-fun ...)``, one per line."""
+        return "\n".join(
+            define_fun_sexpr(
+                fun.name, fun.params, fun.return_sort, self.bodies[fun.name]
             )
-        return rendered
+            for fun in self.problem.synth_funs
+        )
 
     @property
-    def total_size(self) -> int:
+    def size(self) -> int:
         return sum(body.size for body in self.bodies.values())
+
+    @property
+    def height(self) -> int:
+        return max(body.height for body in self.bodies.values())

@@ -13,10 +13,15 @@ Submodules:
 - :mod:`repro.synth.cooperative` — Algorithm 1, the cooperative loop.
 - :mod:`repro.synth.portfolio` — solver portfolios; the Section 5.1 height
   race is a :class:`ProcessPortfolio` over ``fixed-height@1..H``.
+- :mod:`repro.synth.multi` — the multi-function extension.
+
+Every solver is built as ``Solver(timeout=None)``, the wall-clock budget in
+seconds, and answers ``synthesize(problem)`` with a
+:class:`SynthesisOutcome`.  The search bounds (heights, coefficient and
+constant bounds, CEGIS rounds) are constants of the modules that read them.
 """
 
-from repro.synth.config import SynthConfig
-from repro.synth.cooperative import CooperativeSynthesizer, solve
+from repro.synth.cooperative import CooperativeSynthesizer
 from repro.synth.fixed_height import (
     FixedHeightSession,
     HeightEnumerationSynthesizer,
@@ -25,9 +30,7 @@ from repro.synth.portfolio import ProcessPortfolio
 from repro.synth.result import SynthesisOutcome, SynthesisStats
 
 __all__ = [
-    "SynthConfig",
     "CooperativeSynthesizer",
-    "solve",
     "FixedHeightSession",
     "HeightEnumerationSynthesizer",
     "ProcessPortfolio",

@@ -28,6 +28,9 @@ Example = Dict[str, Value]
 #: Proposes a candidate consistent with the examples, or None if impossible.
 InductiveSynthesizer = Callable[[List[Example]], Optional[Term]]
 
+#: Rounds one CEGIS run may start before it gives up on its search space.
+MAX_CEGIS_ROUNDS = 40
+
 
 class CegisTimeout(Exception):
     """The CEGIS loop hit its wall-clock deadline."""
@@ -53,7 +56,7 @@ class CegisLoop:
         problem: SygusProblem,
         ind_synth: Optional[InductiveSynthesizer] = None,
         candidate: Optional[Term] = None,
-        max_rounds: int = 40,
+        max_rounds: int = MAX_CEGIS_ROUNDS,
         stats: Optional[SynthesisStats] = None,
         attrs: Optional[Dict[str, object]] = None,
     ) -> None:
@@ -168,7 +171,7 @@ def cegis(
     ind_synth: InductiveSynthesizer,
     initial_candidate: Optional[Term] = None,
     examples: Optional[List[Example]] = None,
-    max_rounds: int = 40,
+    max_rounds: int = MAX_CEGIS_ROUNDS,
     deadline: Optional[float] = None,
 ) -> Tuple[Optional[Term], List[Example], int]:
     """Run CEGIS to completion; returns ``(solution or None, examples,

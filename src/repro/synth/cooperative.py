@@ -22,11 +22,10 @@ from repro.lang.ast import Term
 from repro.smt.solver import SolverBudgetExceeded
 from repro.sygus.problem import Solution, SygusProblem
 from repro.synth.cegis import CegisTimeout
-from repro.synth.config import SynthConfig
 from repro.synth.deduction import Deducer
 from repro.synth.divide import Split, propose_splits
 from repro.synth.encoding import EncodingUnsupported
-from repro.synth.fixed_height import fixed_height
+from repro.synth.fixed_height import MAX_HEIGHT, fixed_height
 from repro.synth.graph import (
     Edge,
     Node,
@@ -37,32 +36,22 @@ from repro.synth.graph import (
 )
 from repro.synth.result import SynthesisOutcome, SynthesisStats
 
-#: Signature of a pluggable enumerative engine: returns a candidate body of
-#: height (or size class) ``height`` consistent with the problem, or None.
+#: Signature of a pluggable enumerative engine, called as
+#: ``engine(problem, height, examples, deadline, stats, session_store=...)``
+#: like :func:`~repro.synth.fixed_height.fixed_height`: returns a verified
+#: candidate body of height (or size class) ``height``, or None.
 EnumEngine = Callable[..., Optional[Term]]
 
 #: Maximum divide-and-conquer depth (splits of splits).
 _MAX_SPLIT_DEPTH = 2
 
+#: Per-(node, height) time slice inside the cooperative loop, so a single
+#: expensive fixed-height run cannot starve the other subproblems (the
+#: sequential stand-in for the paper's per-height threads).
+ENUM_SLICE = 30.0
 
-def _default_enum_engine(
-    problem: SygusProblem,
-    height: int,
-    examples: list,
-    config: SynthConfig,
-    deadline: Optional[float],
-    stats: SynthesisStats,
-    session_store: Optional[dict] = None,
-) -> Optional[Term]:
-    return fixed_height(
-        problem,
-        height,
-        config,
-        examples=examples,
-        deadline=deadline,
-        stats=stats,
-        session_store=session_store,
-    )
+#: SMT-check budget of the final minimisation pass.
+MINIMIZE_BUDGET = 16
 
 
 class CooperativeSynthesizer:
@@ -70,18 +59,13 @@ class CooperativeSynthesizer:
 
     def __init__(
         self,
-        config: Optional[SynthConfig] = None,
+        timeout: Optional[float] = None,
         enum_engine: Optional[EnumEngine] = None,
         name: str = "dryadsynth",
     ) -> None:
-        import inspect
-
-        self.config = config or SynthConfig()
-        self.enum_engine = enum_engine or _default_enum_engine
+        self.timeout = timeout
+        self.enum_engine = enum_engine or fixed_height
         self.name = name
-        self._engine_takes_sessions = (
-            "session_store" in inspect.signature(self.enum_engine).parameters
-        )
 
     # -- Main loop (Algorithm 1) -------------------------------------------------
 
@@ -99,10 +83,9 @@ class CooperativeSynthesizer:
         return outcome
 
     def _synthesize_impl(self, problem: SygusProblem) -> SynthesisOutcome:
-        config = self.config
         stats = SynthesisStats()
         start = time.monotonic()
-        deadline = start + config.timeout if config.timeout is not None else None
+        deadline = start + self.timeout if self.timeout is not None else None
         graph = SubproblemGraph(problem)
         ded_queue: deque = deque([graph.source])
         enum_queue: List = []
@@ -155,28 +138,25 @@ class CooperativeSynthesizer:
                         # come back to the same height later.
                         note_parked(node, height)
                         enqueue_enum(node, height)
-                    elif height < config.max_height:
+                    elif height < MAX_HEIGHT:
                         enqueue_enum(node, height + 1)
                 else:
                     break
         except (CegisTimeout, SolverBudgetExceeded):
             timed_out = True
         if graph.source.solved:
-            body = graph.source.solution
-            if config.minimize_solutions:
-                from repro.synth.minimize import minimize_solution
+            from repro.synth.minimize import minimize_solution
 
-                try:
-                    with obs.span(
-                        "minimize",
-                        problem=problem.name,
-                        node=graph.source.node_id,
-                    ):
-                        body = minimize_solution(
-                            problem, body, config.minimize_budget, deadline
-                        )
-                except SolverBudgetExceeded:
-                    pass
+            body = graph.source.solution
+            try:
+                with obs.span(
+                    "minimize", problem=problem.name, node=graph.source.node_id
+                ):
+                    body = minimize_solution(
+                        problem, body, MINIMIZE_BUDGET, deadline
+                    )
+            except SolverBudgetExceeded:
+                pass
             elapsed = time.monotonic() - start
             solution = Solution(problem, body, self.name, elapsed)
             return SynthesisOutcome(solution, stats)
@@ -192,27 +172,20 @@ class CooperativeSynthesizer:
         stats: SynthesisStats,
         deadline: Optional[float],
     ) -> None:
-        config = self.config
-        if config.enable_deduction:
-            deducer = Deducer(node.problem, stats)
-            result = deducer.deduct()
-            if result.solution is not None:
-                self._mark_solved(
-                    node, result.solution, graph, ded_queue, stats, deadline
-                )
-                return
-            if result.unsolvable:
-                node.expanded = True
-                return
-            if result.simplified_spec is not None:
-                node.problem = node.problem.with_spec(result.simplified_spec)
-        if (
-            config.enable_divide
-            and not node.expanded
-            and node.depth < _MAX_SPLIT_DEPTH
-        ):
+        result = Deducer(node.problem, stats).deduct()
+        if result.solution is not None:
+            self._mark_solved(
+                node, result.solution, graph, ded_queue, stats, deadline
+            )
+            return
+        if result.unsolvable:
             node.expanded = True
-            for split in propose_splits(node.problem, config):
+            return
+        if result.simplified_spec is not None:
+            node.problem = node.problem.with_spec(result.simplified_spec)
+        if not node.expanded and node.depth < _MAX_SPLIT_DEPTH:
+            node.expanded = True
+            for split in propose_splits(node.problem):
                 child, created = graph.add_subproblem(node, split)
                 stats.subproblems_created += int(created)
                 forensics.emit(
@@ -241,25 +214,19 @@ class CooperativeSynthesizer:
         exists there) and False when the per-step time slice preempted the
         search.
         """
-        slice_deadline = deadline
-        if self.config.enum_slice is not None:
-            step_limit = time.monotonic() + self.config.enum_slice * node.slice_factor
-            slice_deadline = (
-                min(deadline, step_limit) if deadline is not None else step_limit
-            )
+        step_limit = time.monotonic() + ENUM_SLICE * node.slice_factor
+        slice_deadline = (
+            min(deadline, step_limit) if deadline is not None else step_limit
+        )
         examples_before = len(node.examples)
         try:
-            kwargs = {}
-            if self._engine_takes_sessions:
-                kwargs["session_store"] = node.sessions
             body = self.enum_engine(
                 node.problem,
                 height,
                 node.examples,
-                self.config,
                 slice_deadline,
                 stats,
-                **kwargs,
+                session_store=node.sessions,
             )
             node.slice_factor = 1.0
             return body, True
@@ -369,11 +336,3 @@ def _combiner_split(b_problem: SygusProblem, combine: Callable[[Term], Term]) ->
         return ("solution", combine(b_body))
 
     return Split("type-b", b_problem, resolve)
-
-
-def solve(
-    problem: SygusProblem,
-    config: Optional[SynthConfig] = None,
-) -> SynthesisOutcome:
-    """Solve a SyGuS problem with the full cooperative synthesizer."""
-    return CooperativeSynthesizer(config).synthesize(problem)

@@ -39,7 +39,6 @@ from repro.lang.traversal import (
 )
 from repro.sygus.grammar import Grammar, InterpretedFunction
 from repro.sygus.problem import SygusProblem, SynthFun
-from repro.synth.config import SynthConfig
 
 #: Result of resolving a split with an A-solution: either the parent's
 #: solution body, or a Type-B problem plus a combiner for its solution.
@@ -47,6 +46,9 @@ Resolution = Union[
     Tuple[str, Term],  # ("solution", body)
     Tuple[str, SygusProblem, Callable[[Term], Term]],  # ("problem", b, combine)
 ]
+
+#: Most Type-A subproblems one divide step proposes.
+MAX_SUBPROBLEMS = 6
 
 
 @dataclass
@@ -79,13 +81,13 @@ def _reject(parent: SygusProblem, strategy: str, reason: str) -> None:
     )
 
 
-def propose_splits(problem: SygusProblem, config: SynthConfig) -> List[Split]:
+def propose_splits(problem: SygusProblem) -> List[Split]:
     """All applicable divisions of ``problem``, best candidates first."""
     splits: List[Split] = []
     splits.extend(weaker_spec_splits(problem))
-    splits.extend(subterm_splits(problem, config))
-    splits.extend(fixed_term_splits(problem, config))
-    return splits[: config.max_subproblems]
+    splits.extend(subterm_splits(problem))
+    splits.extend(fixed_term_splits(problem))
+    return splits[:MAX_SUBPROBLEMS]
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +128,14 @@ def _candidate_subterms(problem: SygusProblem, limit: int) -> List[Term]:
     return seen[:limit]
 
 
-def subterm_splits(problem: SygusProblem, config: SynthConfig) -> List[Split]:
+def subterm_splits(problem: SygusProblem) -> List[Split]:
     """The Subterm rule: aux(y) = e' as Type-A, grammar + aux as Type-B."""
     splits: List[Split] = []
     grammar = problem.synth_fun.grammar
     if problem.synth_fun.return_sort is not INT:
         return splits
     for index, subterm in enumerate(
-        _candidate_subterms(problem, config.max_subproblems)
+        _candidate_subterms(problem, MAX_SUBPROBLEMS)
     ):
         aux_params = tuple(sorted(free_vars(subterm), key=lambda v: v.payload))
         if len(aux_params) > len(problem.synth_fun.params):
@@ -213,7 +215,7 @@ def _make_subterm_resolver(
 # ---------------------------------------------------------------------------
 
 
-def fixed_term_splits(problem: SygusProblem, config: SynthConfig) -> List[Split]:
+def fixed_term_splits(problem: SygusProblem) -> List[Split]:
     """The FixedTerm rule, for single-invocation Int problems."""
     splits: List[Split] = []
     if problem.synth_fun.return_sort is not INT:
@@ -222,7 +224,7 @@ def fixed_term_splits(problem: SygusProblem, config: SynthConfig) -> List[Split]
     if len(invocations) != 1:
         return splits
     invocation = invocations[0]
-    candidates = _compared_terms(problem, invocation, config.max_subproblems)
+    candidates = _compared_terms(problem, invocation, MAX_SUBPROBLEMS)
     for index, term in enumerate(candidates):
         condition = simplify(substitute(problem.spec, {invocation: term}))
         if contains_app(condition, problem.fun_name):

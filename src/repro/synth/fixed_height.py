@@ -22,7 +22,6 @@ from repro.lang.traversal import rewrite_bottom_up
 from repro.smt.solver import SmtSolver, SolverBudgetExceeded, Status
 from repro.sygus.problem import Solution, SygusProblem
 from repro.synth.cegis import CegisLoop, CegisTimeout, Example, check_deadline
-from repro.synth.config import SynthConfig
 from repro.synth.encoding import (
     CliaTreeEncoder,
     EncodingUnsupported,
@@ -30,6 +29,16 @@ from repro.synth.encoding import (
     grammar_is_full_clia,
 )
 from repro.synth.result import SynthesisOutcome, SynthesisStats
+
+#: The tallest syntax tree height enumeration tries.
+MAX_HEIGHT = 4
+
+#: Bound on the decision-tree coefficients ``c_i``.
+COEFF_BOUND = 2
+
+#: Widening schedule for the constant terms ``d_i``: constants are searched
+#: in widening rounds, the way the paper's implementation bounds them.
+CONST_BOUNDS = (1, 10, 100)
 
 
 def make_encoder(problem: SygusProblem, height: int, prefix: str = "fh"):
@@ -140,18 +149,16 @@ class FixedHeightSession(CegisLoop):
         self,
         problem: SygusProblem,
         height: int,
-        config: SynthConfig,
         stats: Optional[SynthesisStats] = None,
         prefix: Optional[str] = None,
     ) -> None:
         self.height = height
-        self.config = config
         self.prefix = prefix or f"fh{height}"
         self.encoder = make_encoder(problem, height, self.prefix)
-        if getattr(self.encoder, "has_const_unknowns", True):
-            self.bounds = _seeded_bounds(problem, config.const_bounds)
+        if self.encoder.has_const_unknowns:
+            self.bounds = _seeded_bounds(problem, CONST_BOUNDS)
         else:
-            self.bounds = config.const_bounds[:1]
+            self.bounds = CONST_BOUNDS[:1]
         self._solver: Optional[SmtSolver] = None
         self._bound_guards: Dict[int, Term] = {}
         self._asserted_examples = 0
@@ -163,7 +170,6 @@ class FixedHeightSession(CegisLoop):
         super().__init__(
             problem,
             candidate=self.encoder.initial_candidate(),
-            max_rounds=config.max_cegis_rounds,
             stats=stats,
             attrs={"height": height},
         )
@@ -186,9 +192,7 @@ class FixedHeightSession(CegisLoop):
             solver.add(
                 implies(
                     guard,
-                    self.encoder.static_constraints(
-                        self.config.coeff_bound, const_bound
-                    ),
+                    self.encoder.static_constraints(COEFF_BOUND, const_bound),
                 )
             )
             self._bound_guards[const_bound] = guard
@@ -200,9 +204,7 @@ class FixedHeightSession(CegisLoop):
         """The symbolic inductive step: one guarded SMT query per bound."""
         solver = self._solver
         if solver is None:
-            solver = self._solver = SmtSolver(
-                lia_node_budget=self.config.lia_node_budget
-            )
+            solver = self._solver = SmtSolver()
         solver.deadline = deadline
         for example in examples[self._asserted_examples :]:
             solver.add(inductive_query(self.problem, self.encoder, [example]))
@@ -249,7 +251,6 @@ class FixedHeightSession(CegisLoop):
 def fixed_height(
     problem: SygusProblem,
     height: int,
-    config: SynthConfig,
     examples: Optional[List[Example]] = None,
     deadline: Optional[float] = None,
     stats: Optional[SynthesisStats] = None,
@@ -259,7 +260,7 @@ def fixed_height(
     """Algorithm 2: CEGIS with symbolic fixed-height inductive synthesis.
 
     Returns a candidate body of height <= ``height`` satisfying the spec, or
-    None if none exists (within the configured coefficient bounds).  Pass a
+    None if none exists (within the coefficient and constant bounds).  Pass a
     ``session_store`` dict to make preempted runs resumable (the cooperative
     loop does this per subproblem node).
 
@@ -273,7 +274,7 @@ def fixed_height(
     if session_store is not None:
         session = session_store.get(height)
     if session is None:
-        session = FixedHeightSession(problem, height, config, stats, prefix)
+        session = FixedHeightSession(problem, height, stats, prefix)
         if session_store is not None:
             session_store[height] = session
     elif stats is not None:
@@ -291,8 +292,8 @@ class HeightEnumerationSynthesizer:
 
     name = "height-enum"
 
-    def __init__(self, config: Optional[SynthConfig] = None):
-        self.config = config or SynthConfig()
+    def __init__(self, timeout: Optional[float] = None):
+        self.timeout = timeout
 
     def synthesize(self, problem: SygusProblem) -> SynthesisOutcome:
         with obs.span("synth", problem=problem.name, solver=self.name):
@@ -302,21 +303,19 @@ class HeightEnumerationSynthesizer:
         return outcome
 
     def _synthesize_impl(self, problem: SygusProblem) -> SynthesisOutcome:
-        config = self.config
         stats = SynthesisStats()
         deadline = (
-            time.monotonic() + config.timeout if config.timeout is not None else None
+            time.monotonic() + self.timeout if self.timeout is not None else None
         )
         start = time.monotonic()
         examples: List[Example] = []
-        for height in range(1, config.max_height + 1):
+        for height in range(1, MAX_HEIGHT + 1):
             stats.heights_tried += 1
             stats.max_height_reached = height
             try:
                 body = fixed_height(
                     problem,
                     height,
-                    config,
                     examples=examples,
                     deadline=deadline,
                     stats=stats,

@@ -13,22 +13,26 @@ Strategy (following the paper's remark that the framework extends naturally):
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional
 
+from repro import obs
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import and_, bool_const, int_const
 from repro.lang.evaluator import EvaluationError, evaluate
 from repro.lang.traversal import rewrite_bottom_up
 from repro.smt.solver import SmtSolver, SolverBudgetExceeded, Status
 from repro.sygus.multi import MultiSolution, MultiSygusProblem
-from repro.synth.cegis import CegisTimeout
+from repro.synth.cegis import MAX_CEGIS_ROUNDS, CegisTimeout
 from repro.synth.examples import ExampleSet
-from repro.synth.config import SynthConfig
 from repro.synth.cooperative import CooperativeSynthesizer
 from repro.synth.encoding import EncodingUnsupported
-from repro.synth.fixed_height import make_encoder
-from repro.synth.result import SynthesisStats
+from repro.synth.fixed_height import (
+    COEFF_BOUND,
+    CONST_BOUNDS,
+    MAX_HEIGHT,
+    make_encoder,
+)
+from repro.synth.result import SynthesisOutcome, SynthesisStats
 
 
 class MultiFunctionSynthesizer:
@@ -36,26 +40,32 @@ class MultiFunctionSynthesizer:
 
     name = "dryadsynth-multi"
 
-    def __init__(self, config: Optional[SynthConfig] = None):
-        self.config = config or SynthConfig()
+    def __init__(self, timeout: Optional[float] = None):
+        self.timeout = timeout
 
-    def synthesize(self, problem: MultiSygusProblem):
-        config = self.config
+    def synthesize(self, problem: MultiSygusProblem) -> SynthesisOutcome:
+        with obs.span("synth", problem=problem.name, solver=self.name):
+            outcome = self._synthesize_impl(problem)
+        if obs.enabled():
+            obs.publish_stats(outcome.stats)
+        return outcome
+
+    def _synthesize_impl(self, problem: MultiSygusProblem) -> SynthesisOutcome:
         stats = SynthesisStats()
         start = time.monotonic()
-        deadline = (
-            start + config.timeout if config.timeout is not None else None
-        )
-        bodies = self._try_independent(problem, deadline, stats)
-        if bodies is None:
-            try:
+        deadline = start + self.timeout if self.timeout is not None else None
+        try:
+            bodies = self._try_independent(problem, deadline, stats)
+            if bodies is None:
                 bodies = self._joint_cegis(problem, deadline, stats)
-            except (CegisTimeout, SolverBudgetExceeded):
-                return None, stats
+        except (CegisTimeout, SolverBudgetExceeded):
+            return SynthesisOutcome(None, stats, timed_out=True)
         if bodies is None:
-            return None, stats
+            timed_out = deadline is not None and time.monotonic() > deadline
+            return SynthesisOutcome(None, stats, timed_out=timed_out)
         elapsed = time.monotonic() - start
-        return MultiSolution(problem, bodies, self.name, elapsed), stats
+        solution = MultiSolution(problem, bodies, self.name, elapsed)
+        return SynthesisOutcome(solution, stats)
 
     # -- Route 1: independent decomposition ---------------------------------------
 
@@ -73,8 +83,7 @@ class MultiFunctionSynthesizer:
             remaining = None
             if deadline is not None:
                 remaining = max(deadline - time.monotonic(), 0.5)
-            config = replace(self.config, timeout=remaining)
-            outcome = CooperativeSynthesizer(config).synthesize(projection)
+            outcome = CooperativeSynthesizer(remaining).synthesize(projection)
             stats.merge(outcome.stats)
             if outcome.solution is None:
                 return None
@@ -90,9 +99,8 @@ class MultiFunctionSynthesizer:
         deadline: Optional[float],
         stats: SynthesisStats,
     ) -> Optional[Dict[str, Term]]:
-        config = self.config
         examples = ExampleSet()
-        for height in range(1, config.max_height + 1):
+        for height in range(1, MAX_HEIGHT + 1):
             stats.heights_tried += 1
             bodies = self._joint_fixed_height(
                 problem, height, examples, deadline, stats
@@ -129,17 +137,13 @@ class MultiFunctionSynthesizer:
             if sub_term.kind is Kind.CONST and isinstance(sub_term.payload, int):
                 largest_const = max(largest_const, abs(sub_term.payload))
         const_bound = min(
-            (b for b in self.config.const_bounds if b >= largest_const),
-            default=self.config.const_bounds[-1],
+            (b for b in CONST_BOUNDS if b >= largest_const),
+            default=CONST_BOUNDS[-1],
         )
-        solver = SmtSolver(
-            lia_node_budget=self.config.lia_node_budget, deadline=deadline
-        )
+        solver = SmtSolver(deadline=deadline)
         for fun in problem.synth_funs:
             solver.add(
-                encoders[fun.name].static_constraints(
-                    self.config.coeff_bound, const_bound
-                )
+                encoders[fun.name].static_constraints(COEFF_BOUND, const_bound)
             )
         for example in examples:
             solver.add(self._example_query(problem, encoders, example))
@@ -147,7 +151,7 @@ class MultiFunctionSynthesizer:
             fun.name: encoders[fun.name].initial_candidate()
             for fun in problem.synth_funs
         }
-        for _ in range(self.config.max_cegis_rounds):
+        for _ in range(MAX_CEGIS_ROUNDS):
             if deadline is not None and time.monotonic() > deadline:
                 raise CegisTimeout("joint CEGIS deadline exceeded")
             ok, counterexample = problem.verify(candidates, deadline)

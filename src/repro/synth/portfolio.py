@@ -17,18 +17,16 @@ ceiling a portfolio could reach.  This module provides both:
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sygus.problem import SygusProblem
-from repro.synth.config import SynthConfig
 from repro.synth.result import SynthesisOutcome, SynthesisStats
 
 
 class SequentialPortfolio:
     """Run solver factories in order, splitting the wall-clock budget.
 
-    ``members`` maps a display name to a factory ``(config) -> solver``;
+    ``members`` maps a display name to a factory ``(timeout) -> solver``;
     each member receives ``weight / total_weight`` of the remaining budget
     (the last member gets whatever is left).
     """
@@ -38,15 +36,15 @@ class SequentialPortfolio:
     def __init__(
         self,
         members: Sequence[Tuple[str, object, float]],
-        config: Optional[SynthConfig] = None,
+        timeout: Optional[float] = None,
     ) -> None:
         if not members:
             raise ValueError("a portfolio needs at least one member")
         self.members = list(members)
-        self.config = config or SynthConfig()
+        self.timeout = timeout
 
     @staticmethod
-    def default(config: Optional[SynthConfig] = None) -> "SequentialPortfolio":
+    def default(timeout: Optional[float] = None) -> "SequentialPortfolio":
         """The natural CLIA portfolio: cooperative first, baselines after."""
         from repro.baselines import CegqiSolver, EnumerativeSolver, LoopInvGenSolver
         from repro.synth.cooperative import CooperativeSynthesizer
@@ -58,14 +56,14 @@ class SequentialPortfolio:
                 ("eusolver", EnumerativeSolver, 0.15),
                 ("loopinvgen", LoopInvGenSolver, 0.1),
             ],
-            config,
+            timeout,
         )
 
     def synthesize(self, problem: SygusProblem) -> SynthesisOutcome:
         total_weight = sum(weight for _, _, weight in self.members)
         stats = SynthesisStats()
         start = time.monotonic()
-        budget = self.config.timeout
+        budget = self.timeout
         timed_out = False
         for index, (name, factory, weight) in enumerate(self.members):
             if budget is not None:
@@ -81,7 +79,7 @@ class SequentialPortfolio:
                     share = min(share, remaining)
             else:
                 share = None
-            solver = factory(replace(self.config, timeout=share))
+            solver = factory(share)
             outcome = solver.synthesize(problem)
             stats.merge(outcome.stats)
             if outcome.solution is not None:
@@ -115,13 +113,13 @@ class ProcessPortfolio:
     def __init__(
         self,
         members: Sequence[str] = DEFAULT_MEMBERS,
-        config: Optional[SynthConfig] = None,
+        timeout: Optional[float] = None,
         workers: Optional[int] = None,
     ) -> None:
         if not members:
             raise ValueError("a portfolio needs at least one member")
         self.members = tuple(members)
-        self.config = config or SynthConfig()
+        self.timeout = timeout
         self.workers = workers or len(self.members)
 
     def synthesize(self, problem: SygusProblem) -> SynthesisOutcome:
@@ -138,7 +136,7 @@ class ProcessPortfolio:
             SynthesisJob.from_problem(
                 problem,
                 solver=member,
-                config=self.config,
+                timeout=self.timeout,
                 name=f"{problem.name}:{member}",
             )
             for member in self.members

@@ -18,7 +18,6 @@ from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar, qm_grammar
 from repro.sygus.problem import InvariantProblem, SygusProblem, SynthFun
 from repro.baselines.cegqi import CegqiSolver
-from repro.synth.config import SynthConfig
 
 x, y, z = int_var("x"), int_var("y"), int_var("z")
 
@@ -57,7 +56,7 @@ class TestApplicability:
 
 class TestCegqiSolving:
     def test_max2_fast_with_large_solution(self):
-        outcome = CegqiSolver(SynthConfig(timeout=30)).synthesize(
+        outcome = CegqiSolver(30).synthesize(
             _max_problem((x, y))
         )
         assert outcome.solved
@@ -68,7 +67,7 @@ class TestCegqiSolving:
         assert outcome.solution.time_seconds < 10
 
     def test_max3(self):
-        outcome = CegqiSolver(SynthConfig(timeout=60)).synthesize(
+        outcome = CegqiSolver(60).synthesize(
             _max_problem((x, y, z))
         )
         assert outcome.solved
@@ -79,7 +78,7 @@ class TestCegqiSolving:
         fun = SynthFun("f", (x, y), INT, clia_grammar((x, y)))
         spec = eq(fun.apply((x, y)), ite(lt(x, 0), y, x))
         problem = SygusProblem(fun, spec, (x, y))
-        outcome = CegqiSolver(SynthConfig(timeout=30)).synthesize(problem)
+        outcome = CegqiSolver(30).synthesize(problem)
         assert outcome.solved
         ok, _ = problem.verify(outcome.solution.body)
         assert ok
@@ -89,14 +88,14 @@ class TestCegqiSolving:
         fun = SynthFun("f", (x,), INT, clia_grammar((x,)))
         spec = and_(ge(fun.apply((x,)), add(x, 1)), le(fun.apply((x,)), add(x, 1)))
         problem = SygusProblem(fun, spec, (x,))
-        outcome = CegqiSolver(SynthConfig(timeout=30)).synthesize(problem)
+        outcome = CegqiSolver(30).synthesize(problem)
         assert outcome.solved
         assert evaluate(outcome.solution.body, {"x": 10}) == 11
 
     def test_fallback_on_general_grammar(self):
         fun = SynthFun("f", (x,), INT, qm_grammar((x,)))
         problem = SygusProblem(fun, eq(fun.apply((x,)), x), (x,))
-        outcome = CegqiSolver(SynthConfig(timeout=30)).synthesize(problem)
+        outcome = CegqiSolver(30).synthesize(problem)
         # The enumerative fallback finds the identity immediately.
         assert outcome.solved
         assert outcome.solution.body is x

@@ -21,7 +21,6 @@ from repro.baselines.eusolver import (
     _compositions,
     spec_constants,
 )
-from repro.synth.config import SynthConfig
 
 x, y = int_var("x"), int_var("y")
 
@@ -77,7 +76,7 @@ class TestEnumerativeSolver:
     def test_identity(self):
         fun = SynthFun("f", (x, y), INT, clia_grammar((x, y)))
         problem = SygusProblem(fun, eq(fun.apply((x, y)), x), (x, y))
-        outcome = EnumerativeSolver(SynthConfig(timeout=30)).synthesize(problem)
+        outcome = EnumerativeSolver(30).synthesize(problem)
         assert outcome.solved
         assert outcome.solution.body is x
 
@@ -86,7 +85,7 @@ class TestEnumerativeSolver:
         fx = fun.apply((x, y))
         spec = and_(ge(fx, x), ge(fx, y), or_(eq(fx, x), eq(fx, y)))
         problem = SygusProblem(fun, spec, (x, y), name="max2")
-        outcome = EnumerativeSolver(SynthConfig(timeout=60)).synthesize(problem)
+        outcome = EnumerativeSolver(60).synthesize(problem)
         assert outcome.solved
         ok, _ = problem.verify(outcome.solution.body)
         assert ok
@@ -98,7 +97,7 @@ class TestEnumerativeSolver:
         # f(x) = qm(x, 0 - x) = |x|.
         spec = eq(fun.apply((x,)), ite(ge(x, 0), x, sub(0, x)))
         problem = SygusProblem(fun, spec, (x,), name="qm-abs")
-        outcome = EnumerativeSolver(SynthConfig(timeout=60)).synthesize(problem)
+        outcome = EnumerativeSolver(60).synthesize(problem)
         assert outcome.solved
         assert problem.synth_fun.grammar.generates(outcome.solution.body)
 
@@ -110,6 +109,6 @@ class TestEnumerativeSolver:
             *(ge(fx, p) for p in params), or_(*(eq(fx, p) for p in params))
         )
         problem = SygusProblem(fun, spec, params, name="max4")
-        solver = EnumerativeSolver(SynthConfig(timeout=20), max_size=3)
+        solver = EnumerativeSolver(20, max_size=3)
         outcome = solver.synthesize(problem)
         assert not outcome.solved

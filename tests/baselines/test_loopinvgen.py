@@ -17,7 +17,6 @@ from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.problem import InvariantProblem, SygusProblem, SynthFun
 from repro.baselines.loopinvgen import LoopInvGenSolver
-from repro.synth.config import SynthConfig
 
 x, y = int_var("x"), int_var("y")
 
@@ -36,7 +35,7 @@ class TestScope:
     def test_only_inv_track(self):
         fun = SynthFun("f", (x,), INT, clia_grammar((x,)))
         problem = SygusProblem(fun, eq(fun.apply((x,)), x), (x,), track="CLIA")
-        outcome = LoopInvGenSolver(SynthConfig(timeout=5)).synthesize(problem)
+        outcome = LoopInvGenSolver(5).synthesize(problem)
         assert not outcome.solved
 
 
@@ -89,7 +88,7 @@ class TestInternals:
 class TestEndToEnd:
     def test_count_up(self):
         problem = _count_up(20).to_sygus()
-        outcome = LoopInvGenSolver(SynthConfig(timeout=60)).synthesize(problem)
+        outcome = LoopInvGenSolver(60).synthesize(problem)
         assert outcome.solved
         ok, _ = problem.verify(outcome.solution.body)
         assert ok
@@ -102,7 +101,7 @@ class TestEndToEnd:
             implies(not_(lt(x, 8)), eq(y, 8)),
         )
         problem = inv.to_sygus()
-        outcome = LoopInvGenSolver(SynthConfig(timeout=60)).synthesize(problem)
+        outcome = LoopInvGenSolver(60).synthesize(problem)
         assert outcome.solved
         ok, _ = problem.verify(outcome.solution.body)
         assert ok
@@ -117,7 +116,7 @@ class TestEndToEnd:
             implies(not_(gt(x, 0)), eq(x, 0)),
         )
         problem = inv.to_sygus()
-        outcome = LoopInvGenSolver(SynthConfig(timeout=60)).synthesize(problem)
+        outcome = LoopInvGenSolver(60).synthesize(problem)
         assert outcome.solved
         ok, _ = problem.verify(outcome.solution.body)
         assert ok

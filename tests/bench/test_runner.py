@@ -149,14 +149,11 @@ class TestEubackSoundness:
     def test_euback_engine_verifies_directly(self):
         from repro.bench.runner import _euback_engine
         from repro.bench.suite import find_benchmark
-        from repro.synth.config import SynthConfig
         from repro.synth.result import SynthesisStats
 
         bench = find_benchmark("abs")
         problem = bench.problem()
-        body = _euback_engine(
-            problem, 2, [], SynthConfig(timeout=15), None, SynthesisStats()
-        )
+        body = _euback_engine(problem, 2, [], None, SynthesisStats())
         if body is not None:
             ok, _ = problem.verify(body)
             assert ok

@@ -142,10 +142,10 @@ class TestPbeBenchmarks:
 
     def test_pbe_solved_by_enumeration(self):
         from repro.bench.suite import find_benchmark
-        from repro.synth import CooperativeSynthesizer, SynthConfig
+        from repro.synth import CooperativeSynthesizer
 
         problem = find_benchmark("pbe-double").problem()
-        outcome = CooperativeSynthesizer(SynthConfig(timeout=30)).synthesize(problem)
+        outcome = CooperativeSynthesizer(30).synthesize(problem)
         assert outcome.solved
         ok, _ = problem.verify(outcome.solution.body)
         assert ok

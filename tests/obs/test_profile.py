@@ -87,7 +87,6 @@ class TestEndToEnd:
     def test_real_run_self_times_sum_to_traced_wall(self):
         """The acceptance check: attribution within 5% of the run's wall."""
         from repro.sygus.parser import parse_sygus_text
-        from repro.synth.config import SynthConfig
         from repro.synth.cooperative import CooperativeSynthesizer
 
         problem = parse_sygus_text(
@@ -104,9 +103,7 @@ class TestEndToEnd:
             name="max2",
         )
         with obs.recording() as recorder:
-            outcome = CooperativeSynthesizer(
-                SynthConfig(timeout=60)
-            ).synthesize(problem)
+            outcome = CooperativeSynthesizer(60).synthesize(problem)
         assert outcome.solution is not None
         report = build_profile(recorder.spans)
         assert report.roots == 1

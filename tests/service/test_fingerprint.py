@@ -1,12 +1,7 @@
 """Tests for the normalized problem fingerprint."""
 
 from repro.bench.suite import find_benchmark
-from repro.service.fingerprint import (
-    canonical_config,
-    canonical_problem_text,
-    problem_fingerprint,
-)
-from repro.synth.config import SynthConfig
+from repro.service.fingerprint import canonical_problem_text, problem_fingerprint
 
 MAX2 = """
 (set-logic LIA)
@@ -51,10 +46,6 @@ class TestCanonicalization:
     def test_unparsable_text_falls_back_to_whitespace_normalization(self):
         assert canonical_problem_text("not sygus\n at  all") == "not sygus at all"
 
-    def test_config_rendering_is_stable(self):
-        assert canonical_config(SynthConfig()) == canonical_config(SynthConfig())
-        assert canonical_config(None) == canonical_config(SynthConfig())
-
 
 class TestFingerprint:
     def test_identical_problems_same_fingerprint(self):
@@ -68,8 +59,8 @@ class TestFingerprint:
         )
 
     def test_config_changes_fingerprint(self):
-        fast = problem_fingerprint(MAX2, "dryadsynth", SynthConfig(timeout=1))
-        slow = problem_fingerprint(MAX2, "dryadsynth", SynthConfig(timeout=9))
+        fast = problem_fingerprint(MAX2, "dryadsynth", 1)
+        slow = problem_fingerprint(MAX2, "dryadsynth", 9)
         assert fast != slow
 
     def test_different_problems_differ(self):

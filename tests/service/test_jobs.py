@@ -15,7 +15,6 @@ from repro.service.jobs import (
     execute_job,
     parse_solution_text,
 )
-from repro.synth.config import SynthConfig
 
 MAX2_SL = """
 (set-logic LIA)
@@ -29,13 +28,40 @@ MAX2_SL = """
 """
 
 
+MULTI_SL = """
+(set-logic LIA)
+(synth-fun f ((x Int)) Int)
+(synth-fun g ((x Int)) Int)
+(declare-var x Int)
+(constraint (= (f x) (+ x 2)))
+(constraint (= (g x) (- x 2)))
+(check-synth)
+"""
+
+# Coupled: one constraint mentions both functions, so they are solved
+# jointly, which takes far longer than a 0.3 s budget.
+COUPLED_SL = """
+(set-logic LIA)
+(synth-fun bigger ((x Int) (y Int)) Int)
+(synth-fun smaller ((x Int) (y Int)) Int)
+(declare-var x Int)
+(declare-var y Int)
+(constraint (>= (bigger x y) x))
+(constraint (>= (bigger x y) y))
+(constraint (<= (smaller x y) x))
+(constraint (<= (smaller x y) y))
+(constraint (= (+ (bigger x y) (smaller x y)) (+ x y)))
+(check-synth)
+"""
+
+
 class TestSynthesisJob:
     def test_from_problem_round_trips_as_text(self):
         problem = find_benchmark("max2").problem()
         job = SynthesisJob.from_problem(problem, solver="cegqi", timeout=5)
         assert "(synth-fun" in job.problem_text
         assert job.name == "max2"
-        assert job.effective_timeout == 5
+        assert job.timeout == 5
 
     def test_effective_hard_timeout_derived_from_soft(self):
         job = SynthesisJob(problem_text="", timeout=10)
@@ -45,21 +71,13 @@ class TestSynthesisJob:
         unlimited = SynthesisJob(problem_text="")
         assert unlimited.effective_hard_timeout is None
 
-    def test_run_config_applies_soft_timeout(self):
-        job = SynthesisJob(
-            problem_text="", config=SynthConfig(max_height=2), timeout=3
-        )
-        config = job.run_config()
-        assert config.timeout == 3
-        assert config.max_height == 2
-
     def test_job_is_picklable(self):
         import pickle
 
         job = SynthesisJob(problem_text=MAX2_SL, solver="dryadsynth", timeout=1)
         clone = pickle.loads(pickle.dumps(job))
         assert clone.problem_text == job.problem_text
-        assert clone.config == job.config
+        assert clone.timeout == job.timeout
 
 
 class TestJobResult:
@@ -130,21 +148,22 @@ class TestExecuteJob:
         assert "debug-raise" in result.error
 
     def test_multi_function_problem(self):
-        multi = """
-(set-logic LIA)
-(synth-fun f ((x Int)) Int)
-(synth-fun g ((x Int)) Int)
-(declare-var x Int)
-(constraint (= (f x) (+ x 2)))
-(constraint (= (g x) (- x 2)))
-(check-synth)
-"""
         result = execute_job(
-            SynthesisJob(problem_text=multi, solver="dryadsynth", timeout=30)
+            SynthesisJob(problem_text=MULTI_SL, solver="dryadsynth", timeout=30)
         )
         assert result.status == SOLVED
         assert "(define-fun f" in result.solution_text
         assert "(define-fun g" in result.solution_text
+        # f = (+ x 2) and g = (- x 2): three nodes each, two levels high.
+        assert result.solution_size == 6
+        assert result.solution_height == 2
+
+    def test_multi_function_deadline_is_a_timeout(self):
+        result = execute_job(
+            SynthesisJob(problem_text=COUPLED_SL, solver="dryadsynth",
+                         timeout=0.3)
+        )
+        assert result.status == TIMEOUT
 
 
 class TestParseSolutionText:

@@ -25,14 +25,13 @@ from repro.sygus.grammar import (
     qm_grammar,
 )
 from repro.sygus.problem import InvariantProblem, SygusProblem, SynthFun
-from repro.synth import CooperativeSynthesizer, SynthConfig
+from repro.synth import CooperativeSynthesizer
 
 x, y, z = int_var("x"), int_var("y"), int_var("z")
 
 
-def _solve(problem, timeout=60, **kwargs):
-    config = SynthConfig(timeout=timeout, **kwargs)
-    return CooperativeSynthesizer(config).synthesize(problem)
+def _solve(problem, timeout=60):
+    return CooperativeSynthesizer(timeout).synthesize(problem)
 
 
 class TestCliaTrack:
@@ -134,49 +133,32 @@ class TestGeneralTrack:
 
 
 class TestConfigurationAblations:
-    def _max2_problem(self):
-        fun = SynthFun("f", (x, y), INT, clia_grammar((x, y)))
-        fx = fun.apply((x, y))
-        spec = and_(ge(fx, x), ge(fx, y), or_(eq(fx, x), eq(fx, y)))
-        return SygusProblem(fun, spec, (x, y), name="max2")
-
-    def test_deduction_disabled_still_solves(self):
-        outcome = _solve(self._max2_problem(), enable_deduction=False)
-        assert outcome.solved
-        assert not outcome.stats.deduction_solved
-
-    def test_divide_disabled_still_solves(self):
-        outcome = _solve(self._max2_problem(), enable_divide=False)
-        assert outcome.solved
-        assert outcome.stats.subproblems_created == 0
-
     def test_timeout_respected(self):
         import time
 
-        params = tuple(int_var(f"v{i}") for i in range(5))
-        fun = SynthFun("f", params, INT, clia_grammar(params))
-        fx = fun.apply(params)
-        spec = and_(
-            *(ge(fx, p) for p in params), or_(*(eq(fx, p) for p in params))
-        )
-        problem = SygusProblem(fun, spec, params, name="max5")
+        from repro.bench.suite import find_benchmark
+
+        # max3 in the qm grammar (Example 2.12): deduction cannot solve it,
+        # and the search outlasts this budget.
+        problem = find_benchmark("qm-max3").problem()
         start = time.monotonic()
-        outcome = _solve(problem, timeout=3, enable_deduction=False,
-                         enable_divide=False)
+        outcome = _solve(problem, timeout=3)
         elapsed = time.monotonic() - start
         if not outcome.solved:
             assert outcome.timed_out
         assert elapsed < 45  # slack for one slow SMT call past the deadline
 
     def test_custom_enum_engine_is_used(self):
+        from repro.bench.suite import find_benchmark
+
         calls = []
 
-        def engine(problem, height, examples, config, deadline, stats):
+        def engine(problem, height, examples, deadline, stats, session_store):
             calls.append(height)
             return None
 
-        config = SynthConfig(timeout=10, enable_deduction=False, max_height=2)
-        synthesizer = CooperativeSynthesizer(config, enum_engine=engine)
-        outcome = synthesizer.synthesize(self._max2_problem())
+        synthesizer = CooperativeSynthesizer(10, enum_engine=engine)
+        # max2 from input-output examples: deduction cannot solve it.
+        outcome = synthesizer.synthesize(find_benchmark("pbe-max2").problem())
         assert not outcome.solved
         assert calls, "the custom engine must be invoked"

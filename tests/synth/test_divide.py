@@ -19,8 +19,8 @@ from repro.lang.sorts import BOOL, INT
 from repro.lang.traversal import contains_app
 from repro.sygus.grammar import clia_grammar, qm_grammar
 from repro.sygus.problem import InvariantProblem, SygusProblem, SynthFun
-from repro.synth.config import SynthConfig
 from repro.synth.divide import (
+    MAX_SUBPROBLEMS,
     fixed_term_splits,
     propose_splits,
     subterm_splits,
@@ -47,7 +47,7 @@ def _max2_clia_problem():
 class TestSubtermSplits:
     def test_inner_ite_is_a_candidate(self):
         problem = _max3_qm_problem()
-        splits = subterm_splits(problem, SynthConfig())
+        splits = subterm_splits(problem)
         subspecs = [split.subproblem for split in splits]
         inner = ite(ge(y, z), y, z)
         assert any(
@@ -57,14 +57,14 @@ class TestSubtermSplits:
 
     def test_full_rhs_excluded(self):
         problem = _max3_qm_problem()
-        splits = subterm_splits(problem, SynthConfig())
+        splits = subterm_splits(problem)
         rhs = problem.spec.args[1]
         for split in splits:
             assert split.subproblem.spec.args[1] is not rhs
 
     def test_aux_params_are_subterm_vars(self):
         problem = _max3_qm_problem()
-        splits = subterm_splits(problem, SynthConfig())
+        splits = subterm_splits(problem)
         inner = ite(ge(y, z), y, z)
         split = next(
             s for s in splits if s.subproblem.spec.args[1] is inner
@@ -75,7 +75,7 @@ class TestSubtermSplits:
         from repro.lang import apply_fn
 
         problem = _max3_qm_problem()
-        splits = subterm_splits(problem, SynthConfig())
+        splits = subterm_splits(problem)
         inner = ite(ge(y, z), y, z)
         split = next(s for s in splits if s.subproblem.spec.args[1] is inner)
         # Pretend we solved aux with the known solution.
@@ -107,12 +107,12 @@ class TestSubtermSplits:
         problem = _max3_qm_problem()
         first_names = [
             s.subproblem.fun_name
-            for s in subterm_splits(problem, SynthConfig())
+            for s in subterm_splits(problem)
         ]
         assert first_names == [f"aux{i}!f" for i in range(len(first_names))]
         inner = ite(ge(y, z), y, z)
         split = next(
-            s for s in subterm_splits(problem, SynthConfig())
+            s for s in subterm_splits(problem)
             if s.subproblem.spec.args[1] is inner
         )
         p1, p2 = split.subproblem.synth_fun.params
@@ -122,7 +122,7 @@ class TestSubtermSplits:
         )[1]
         interpreted = type_b.synth_fun.grammar.interpreted
         assert first_aux in interpreted
-        resplits = subterm_splits(type_b, SynthConfig())
+        resplits = subterm_splits(type_b)
         assert len(resplits) == len(first_names)
         for again in resplits:
             name = again.subproblem.fun_name
@@ -141,12 +141,12 @@ class TestSubtermSplits:
 class TestFixedTermSplits:
     def test_candidates_from_compared_terms(self):
         problem = _max2_clia_problem()
-        splits = fixed_term_splits(problem, SynthConfig())
+        splits = fixed_term_splits(problem)
         assert splits, "max2's spec compares f against x and y"
 
     def test_resolution_is_direct_solution(self):
         problem = _max2_clia_problem()
-        splits = fixed_term_splits(problem, SynthConfig())
+        splits = fixed_term_splits(problem)
         # Find the split whose fixed term is x.
         split = next(
             s for s in splits if "fixedterm" in s.subproblem.name
@@ -162,11 +162,11 @@ class TestFixedTermSplits:
         fun = SynthFun("f", (x, y), INT, clia_grammar((x, y)))
         spec = eq(fun.apply((x, y)), fun.apply((y, x)))
         problem = SygusProblem(fun, spec, (x, y))
-        assert fixed_term_splits(problem, SynthConfig()) == []
+        assert fixed_term_splits(problem) == []
 
     def test_correct_combination_semantics(self):
         problem = _max2_clia_problem()
-        splits = fixed_term_splits(problem, SynthConfig())
+        splits = fixed_term_splits(problem)
         for split in splits:
             resolution = split.resolve(y)
             if resolution is None:
@@ -230,8 +230,7 @@ class TestWeakerSpecSplits:
 class TestProposeSplits:
     def test_cap_respected(self):
         problem = _max3_qm_problem()
-        config = SynthConfig(max_subproblems=3)
-        assert len(propose_splits(problem, config)) <= 3
+        assert len(propose_splits(problem)) <= MAX_SUBPROBLEMS
 
     def test_inv_problems_get_weaker_spec_first(self):
         problem = InvariantProblem.from_updates(
@@ -240,5 +239,5 @@ class TestProposeSplits:
             (ite(lt(x, 10), add(x, 1), x),),
             implies(not_(lt(x, 10)), eq(x, 10)),
         ).to_sygus()
-        splits = propose_splits(problem, SynthConfig())
+        splits = propose_splits(problem)
         assert splits[0].strategy == "weaker-spec"

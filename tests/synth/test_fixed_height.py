@@ -18,7 +18,6 @@ from repro.lang import (
 from repro.lang.sorts import BOOL, INT
 from repro.sygus.grammar import clia_grammar, qm_grammar
 from repro.sygus.problem import InvariantProblem, SygusProblem, SynthFun
-from repro.synth.config import SynthConfig
 from repro.synth.encoding import CliaTreeEncoder, GeneralGrammarEncoder
 from repro.synth.affine_encoding import AffineSpineEncoder
 from repro.synth.fixed_height import (
@@ -65,12 +64,12 @@ class TestFixedHeight:
     def test_no_height1_max2(self):
         problem = _max2_problem()
         stats = SynthesisStats()
-        assert fixed_height(problem, 1, SynthConfig(), stats=stats) is None
+        assert fixed_height(problem, 1, stats=stats) is None
         assert stats.smt_checks >= 1
 
     def test_height2_solves_max2(self):
         problem = _max2_problem()
-        body = fixed_height(problem, 2, SynthConfig())
+        body = fixed_height(problem, 2)
         assert body is not None
         ok, _ = problem.verify(body)
         assert ok
@@ -78,17 +77,17 @@ class TestFixedHeight:
     def test_identity_at_height1(self):
         fun = SynthFun("f", (x, y), INT, clia_grammar((x, y)))
         problem = SygusProblem(fun, eq(fun.apply((x, y)), add(x, y)), (x, y))
-        body = fixed_height(problem, 1, SynthConfig())
+        body = fixed_height(problem, 1)
         assert body is not None
         assert evaluate(body, {"x": 3, "y": 4}) == 7
 
     def test_shared_examples_persist(self):
         problem = _max2_problem()
         examples = []
-        fixed_height(problem, 1, SynthConfig(), examples=examples)
+        fixed_height(problem, 1, examples=examples)
         assert examples
         count = len(examples)
-        body = fixed_height(problem, 2, SynthConfig(), examples=examples)
+        body = fixed_height(problem, 2, examples=examples)
         assert body is not None
         assert len(examples) >= count
 
@@ -99,7 +98,7 @@ class TestFixedHeight:
         # p(x) <=> x >= 3 (via both implications).
         spec = and_(implies(px, ge(x, 3)), implies(ge(x, 3), px))
         problem = SygusProblem(fun, spec, (x,))
-        body = fixed_height(problem, 1, SynthConfig())
+        body = fixed_height(problem, 1)
         assert body is not None
         assert evaluate(body, {"x": 3}) is True
         assert evaluate(body, {"x": 2}) is False
@@ -107,7 +106,7 @@ class TestFixedHeight:
 
 class TestHeightEnumeration:
     def test_max2_solved_at_minimal_height(self):
-        synthesizer = HeightEnumerationSynthesizer(SynthConfig(timeout=60))
+        synthesizer = HeightEnumerationSynthesizer(60)
         outcome = synthesizer.synthesize(_max2_problem())
         assert outcome.solved
         assert outcome.stats.max_height_reached == 2
@@ -123,17 +122,15 @@ class TestHeightEnumeration:
             *(ge(fx, p) for p in params), or_(*(eq(fx, p) for p in params))
         )
         problem = SygusProblem(fun, spec, params)
-        synthesizer = HeightEnumerationSynthesizer(
-            SynthConfig(timeout=30, max_height=2)
-        )
-        outcome = synthesizer.synthesize(problem)
-        assert not outcome.solved
+        examples = []
+        for height in (1, 2):
+            assert fixed_height(problem, height, examples=examples) is None
 
     def test_qm_max2(self):
         fun = SynthFun("f", (x, y), INT, qm_grammar((x, y)))
         spec = eq(fun.apply((x, y)), ite(ge(x, y), x, y))
         problem = SygusProblem(fun, spec, (x, y), track="General")
-        synthesizer = HeightEnumerationSynthesizer(SynthConfig(timeout=90))
+        synthesizer = HeightEnumerationSynthesizer(90)
         outcome = synthesizer.synthesize(problem)
         assert outcome.solved
         assert problem.synth_fun.grammar.generates(outcome.solution.body)
@@ -148,7 +145,7 @@ class TestHeightEnumeration:
             implies(not_(lt(x, 4)), eq(x, 4)),
         )
         problem = inv.to_sygus()
-        synthesizer = HeightEnumerationSynthesizer(SynthConfig(timeout=90))
+        synthesizer = HeightEnumerationSynthesizer(90)
         outcome = synthesizer.synthesize(problem)
         assert outcome.solved
         ok, _ = problem.verify(outcome.solution.body)

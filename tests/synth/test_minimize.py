@@ -80,14 +80,13 @@ class TestMinimizeSolution:
 
 class TestCooperativeIntegration:
     def test_minimization_reduces_deduction_output(self):
-        from repro.synth import CooperativeSynthesizer, SynthConfig
+        from repro.synth.cooperative import MINIMIZE_BUDGET
+        from repro.synth.deduction import Deducer
 
         problem = _max2_problem()
-        small = CooperativeSynthesizer(
-            SynthConfig(timeout=60, minimize_solutions=True)
-        ).synthesize(problem)
-        big = CooperativeSynthesizer(
-            SynthConfig(timeout=60, minimize_solutions=False)
-        ).synthesize(problem)
-        assert small.solved and big.solved
-        assert small.solution.size <= big.solution.size
+        deduced = Deducer(problem).deduct().solution
+        assert deduced is not None
+        small = minimize_solution(problem, deduced, MINIMIZE_BUDGET)
+        ok, _ = problem.verify(small)
+        assert ok
+        assert small.size <= deduced.size

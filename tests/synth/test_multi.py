@@ -5,7 +5,6 @@ from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.multi import MultiSygusProblem
 from repro.sygus.problem import SynthFun
-from repro.synth.config import SynthConfig
 from repro.synth.multi import MultiFunctionSynthesizer
 
 x, y = int_var("x"), int_var("y")
@@ -83,41 +82,11 @@ class TestMultiSynthesis:
             eq(g.apply((x, y)), sub(x, y)),
         )
         problem = MultiSygusProblem((f, g), spec, (x, y), name="pair")
-        solution, stats = MultiFunctionSynthesizer(
-            SynthConfig(timeout=60)
-        ).synthesize(problem)
+        solution = MultiFunctionSynthesizer(60).synthesize(problem).solution
         assert solution is not None
         assert evaluate(solution.bodies["f"], {"x": 3, "y": 4}) == 7
         assert evaluate(solution.bodies["g"], {"x": 3, "y": 4}) == -1
-        assert len(solution.define_funs()) == 2
-
-    def test_projections_keep_the_callers_config(self, monkeypatch):
-        # Regression: each projection's solver used to get a SynthConfig
-        # rebuilt field by field, resetting every knob not copied back.
-        from repro.synth import multi
-
-        seen = []
-        cooperative = multi.CooperativeSynthesizer
-
-        def recording(config):
-            seen.append(config)
-            return cooperative(config)
-
-        monkeypatch.setattr(multi, "CooperativeSynthesizer", recording)
-        f, g = _funs()
-        spec = and_(
-            eq(f.apply((x, y)), add(x, y)),
-            eq(g.apply((x, y)), sub(x, y)),
-        )
-        problem = MultiSygusProblem((f, g), spec, (x, y), name="pair")
-        config = SynthConfig(timeout=60, enable_divide=False,
-                             lia_node_budget=123)
-        solution, _ = MultiFunctionSynthesizer(config).synthesize(problem)
-        assert solution is not None
-        assert len(seen) == 2
-        for projection_config in seen:
-            assert projection_config.enable_divide is False
-            assert projection_config.lia_node_budget == 123
+        assert len(solution.define_fun().splitlines()) == 2
 
     def test_coupled_functions_solved_jointly(self):
         f, g = _funs()
@@ -128,9 +97,7 @@ class TestMultiSynthesis:
             eq(add(fx, gx), add(x, y)),
         )
         problem = MultiSygusProblem((f, g), spec, (x, y), name="coupled")
-        solution, stats = MultiFunctionSynthesizer(
-            SynthConfig(timeout=90)
-        ).synthesize(problem)
+        solution = MultiFunctionSynthesizer(90).synthesize(problem).solution
         assert solution is not None
         ok, _ = problem.verify(solution.bodies)
         assert ok
@@ -151,9 +118,7 @@ class TestMultiSynthesis:
         )
         assert isinstance(problem, MultiSygusProblem)
         assert problem.fun_names == ("f", "g")
-        solution, _ = MultiFunctionSynthesizer(
-            SynthConfig(timeout=60)
-        ).synthesize(problem)
+        solution = MultiFunctionSynthesizer(60).synthesize(problem).solution
         assert solution is not None
         assert evaluate(solution.bodies["f"], {"x": 10}) == 11
         assert evaluate(solution.bodies["g"], {"x": 10}) == 9

@@ -8,7 +8,6 @@ from repro.lang import and_, eq, ge, int_var, or_
 from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.problem import SygusProblem, SynthFun
-from repro.synth.config import SynthConfig
 from repro.synth.portfolio import ProcessPortfolio
 
 x, y = int_var("x"), int_var("y")
@@ -29,39 +28,37 @@ def _max4_problem():
     return SygusProblem(fun, spec, params, name="max4")
 
 
-def _height_race(config, workers):
-    """One fixed-height job per height 1..max_height."""
-    members = [f"fixed-height@{h}" for h in range(1, config.max_height + 1)]
-    return ProcessPortfolio(members, config, workers=workers)
+def _height_race(timeout, heights, workers):
+    """One fixed-height job per height in ``heights``."""
+    members = [f"fixed-height@{h}" for h in heights]
+    return ProcessPortfolio(members, timeout, workers=workers)
 
 
 class TestParallelHeights:
     def test_solves_max2_with_two_workers(self):
         problem = _max2_problem()
-        outcome = _height_race(SynthConfig(timeout=60), 2).synthesize(problem)
+        outcome = _height_race(60, (1, 2, 3, 4), 2).synthesize(problem)
         assert outcome.solved
         assert outcome.solution.engine.startswith("portfolio-mp:fixed-height@")
         ok, _ = problem.verify(outcome.solution.body)
         assert ok
 
     def test_single_worker_degenerates_to_sequential(self):
-        outcome = _height_race(SynthConfig(timeout=60), 1).synthesize(
+        outcome = _height_race(60, (1, 2, 3, 4), 1).synthesize(
             _max2_problem()
         )
         assert outcome.solved
 
     def test_unsolvable_within_height_cap(self):
-        config = SynthConfig(timeout=30, max_height=2)
-        outcome = _height_race(config, 2).synthesize(_max4_problem())
+        outcome = _height_race(30, (1, 2), 2).synthesize(_max4_problem())
         assert not outcome.solved
 
 
 class TestProcessBackend:
     def test_solves_max2_across_processes(self):
         # One worker process per height: every height runs concurrently.
-        config = SynthConfig(timeout=60, max_height=3)
         problem = _max2_problem()
-        outcome = _height_race(config, 3).synthesize(problem)
+        outcome = _height_race(60, (1, 2, 3), 3).synthesize(problem)
         assert outcome.solved
         ok, _ = problem.verify(outcome.solution.body)
         assert ok
@@ -70,6 +67,5 @@ class TestProcessBackend:
     def test_unsolvable_within_height_cap(self):
         # More worker processes than heights: the surplus stays idle and
         # the capped race still reports no solution.
-        config = SynthConfig(timeout=30, max_height=2)
-        outcome = _height_race(config, 4).synthesize(_max4_problem())
+        outcome = _height_race(30, (1, 2), 4).synthesize(_max4_problem())
         assert not outcome.solved

@@ -7,7 +7,6 @@ from repro.lang import and_, eq, ge, int_var, or_
 from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.problem import SygusProblem, SynthFun
-from repro.synth.config import SynthConfig
 from repro.synth.portfolio import (
     ProcessPortfolio,
     SequentialPortfolio,
@@ -19,11 +18,11 @@ x, y = int_var("x"), int_var("y")
 
 
 def _recording_factory(seen):
-    """A portfolio member that records the config it was built with."""
+    """A portfolio member that records the timeout it was built with."""
 
     class Recorder:
-        def __init__(self, config):
-            seen.append(config)
+        def __init__(self, timeout):
+            seen.append(timeout)
 
         def synthesize(self, problem):
             from repro.synth.result import SynthesisOutcome, SynthesisStats
@@ -42,7 +41,7 @@ def _max2_problem():
 
 class TestSequentialPortfolio:
     def test_default_portfolio_solves_max2(self):
-        portfolio = SequentialPortfolio.default(SynthConfig(timeout=60))
+        portfolio = SequentialPortfolio.default(60)
         outcome = portfolio.synthesize(_max2_problem())
         assert outcome.solved
         assert outcome.solution.engine.startswith("portfolio:")
@@ -51,7 +50,7 @@ class TestSequentialPortfolio:
 
     def test_fallback_member_gets_its_turn(self):
         class Hopeless:
-            def __init__(self, config):
+            def __init__(self, timeout):
                 pass
 
             def synthesize(self, problem):
@@ -63,7 +62,7 @@ class TestSequentialPortfolio:
 
         portfolio = SequentialPortfolio(
             [("nope", Hopeless, 0.5), ("real", CooperativeSynthesizer, 0.5)],
-            SynthConfig(timeout=60),
+            60,
         )
         outcome = portfolio.synthesize(_max2_problem())
         assert outcome.solved
@@ -71,28 +70,24 @@ class TestSequentialPortfolio:
 
     def test_empty_portfolio_rejected(self):
         with pytest.raises(ValueError):
-            SequentialPortfolio([], SynthConfig())
+            SequentialPortfolio([])
 
     def test_members_keep_the_callers_config(self):
-        # Regression: members used to get a SynthConfig rebuilt field by
-        # field, which reset every knob not copied back to its default.
         seen = []
         portfolio = SequentialPortfolio(
             [("a", _recording_factory(seen), 0.5),
              ("b", _recording_factory(seen), 0.5)],
-            SynthConfig(timeout=60, enable_divide=False, lia_node_budget=123),
+            60,
         )
         assert not portfolio.synthesize(_max2_problem()).solved
         assert len(seen) == 2
-        for config in seen:
-            assert config.enable_divide is False
-            assert config.lia_node_budget == 123
-            assert 0 < config.timeout <= 60
+        for timeout in seen:
+            assert 0 < timeout <= 60
 
 
 class TestProcessPortfolio:
     def test_races_members_and_reports_winner(self):
-        portfolio = ProcessPortfolio(config=SynthConfig(timeout=60), workers=2)
+        portfolio = ProcessPortfolio(timeout=60, workers=2)
         outcome = portfolio.synthesize(_max2_problem())
         assert outcome.solved
         assert outcome.solution.engine.startswith("portfolio-mp:")
@@ -101,7 +96,7 @@ class TestProcessPortfolio:
 
     def test_empty_members_rejected(self):
         with pytest.raises(ValueError):
-            ProcessPortfolio(members=(), config=SynthConfig())
+            ProcessPortfolio(members=())
 
 
 class TestVirtualBest:

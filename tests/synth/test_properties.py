@@ -33,7 +33,6 @@ from repro.lang import (
 from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar, minimal_member, qm_grammar
 from repro.sygus.problem import InvariantProblem, SygusProblem, SynthFun
-from repro.synth.config import SynthConfig
 from repro.synth.divide import weaker_spec_splits
 
 x, y = int_var("x"), int_var("y")
@@ -99,7 +98,7 @@ def test_height_enumeration_returns_minimal_height():
     fx = fun.apply((x, y))
     spec = and_(ge(fx, x), ge(fx, y), or_(eq(fx, x), eq(fx, y)))
     problem = SygusProblem(fun, spec, (x, y), name="max2")
-    outcome = HeightEnumerationSynthesizer(SynthConfig(timeout=60)).synthesize(
+    outcome = HeightEnumerationSynthesizer(60).synthesize(
         problem
     )
     assert outcome.solved

@@ -9,7 +9,6 @@ from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.problem import SygusProblem, SynthFun
 from repro.synth.cegis import CegisTimeout
-from repro.synth.config import SynthConfig
 from repro.synth.fixed_height import FixedHeightSession, fixed_height
 from repro.synth.result import SynthesisStats
 
@@ -26,7 +25,7 @@ def _max2_problem():
 class TestSessionLifecycle:
     def test_solves_in_one_run(self):
         problem = _max2_problem()
-        session = FixedHeightSession(problem, 2, SynthConfig())
+        session = FixedHeightSession(problem, 2)
         body = session.run([])
         assert body is not None
         ok, _ = problem.verify(body)
@@ -34,7 +33,7 @@ class TestSessionLifecycle:
 
     def test_exhaustion_is_sticky(self):
         problem = _max2_problem()
-        session = FixedHeightSession(problem, 1, SynthConfig())
+        session = FixedHeightSession(problem, 1)
         assert session.run([]) is None
         assert session.exhausted
         # Re-running an exhausted session is a cheap no-op.
@@ -42,7 +41,7 @@ class TestSessionLifecycle:
 
     def test_preemption_then_resume(self):
         problem = _max2_problem()
-        session = FixedHeightSession(problem, 2, SynthConfig())
+        session = FixedHeightSession(problem, 2)
         examples = []
         with pytest.raises(CegisTimeout):
             session.run(examples, deadline=time.monotonic() - 1)
@@ -53,7 +52,7 @@ class TestSessionLifecycle:
 
     def test_examples_survive_preemption(self):
         problem = _max2_problem()
-        session = FixedHeightSession(problem, 2, SynthConfig())
+        session = FixedHeightSession(problem, 2)
         examples = []
         # Give it a tiny but nonzero budget a few times.
         for _ in range(3):
@@ -72,7 +71,7 @@ class TestSessionLifecycle:
     def test_resumed_session_counts_each_started_round_once(self):
         problem = _max2_problem()
         stats = SynthesisStats()
-        session = FixedHeightSession(problem, 2, SynthConfig(), stats=stats)
+        session = FixedHeightSession(problem, 2, stats=stats)
         examples = []
         with pytest.raises(CegisTimeout):
             session.run(examples, deadline=time.monotonic() - 1)
@@ -101,7 +100,7 @@ class TestSessionStore:
         problem = _max2_problem()
         store = {}
         body = fixed_height(
-            problem, 1, SynthConfig(), examples=[], session_store=store
+            problem, 1, examples=[], session_store=store
         )
         assert body is None
         assert 1 in store and store[1].exhausted
@@ -109,11 +108,11 @@ class TestSessionStore:
         # returns immediately.
         start = time.monotonic()
         assert (
-            fixed_height(problem, 1, SynthConfig(), examples=[], session_store=store)
+            fixed_height(problem, 1, examples=[], session_store=store)
             is None
         )
         assert time.monotonic() - start < 0.5
 
     def test_without_store_sessions_are_fresh(self):
         problem = _max2_problem()
-        assert fixed_height(problem, 2, SynthConfig(), examples=[]) is not None
+        assert fixed_height(problem, 2, examples=[]) is not None

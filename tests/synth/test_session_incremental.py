@@ -15,7 +15,6 @@ from repro.smt.solver import SmtSolver, SolverBudgetExceeded
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.problem import SygusProblem, SynthFun
 from repro.synth import fixed_height as fixed_height_module
-from repro.synth.config import SynthConfig
 from repro.synth.fixed_height import (
     FixedHeightSession,
     HeightEnumerationSynthesizer,
@@ -42,8 +41,7 @@ def _const_problem(value: int):
 class TestSingleSolverInvariant:
     def test_session_holds_exactly_one_solver(self):
         problem = _max2_problem()
-        config = SynthConfig(const_bounds=(1, 10, 100))
-        session = FixedHeightSession(problem, 2, config)
+        session = FixedHeightSession(problem, 2)
         assert session.solver is None  # lazily created on the first query
         body = session.run([])
         assert body is not None
@@ -54,8 +52,7 @@ class TestSingleSolverInvariant:
 
     def test_widening_needs_one_solver_and_finds_large_const(self):
         problem = _const_problem(73)
-        config = SynthConfig(const_bounds=(1, 10, 100))
-        session = FixedHeightSession(problem, 1, config)
+        session = FixedHeightSession(problem, 1)
         body = session.run([])
         assert body is not None
         ok, _ = problem.verify(body)
@@ -64,7 +61,7 @@ class TestSingleSolverInvariant:
 
     def test_solver_state_reused_across_cegis_iterations(self):
         problem = _max2_problem()
-        session = FixedHeightSession(problem, 2, SynthConfig())
+        session = FixedHeightSession(problem, 2)
         body = session.run([])
         assert body is not None
         solver = session.solver
@@ -75,7 +72,7 @@ class TestSingleSolverInvariant:
     def test_stats_record_smt_rounds(self):
         problem = _max2_problem()
         stats = SynthesisStats()
-        session = FixedHeightSession(problem, 2, SynthConfig(), stats=stats)
+        session = FixedHeightSession(problem, 2, stats=stats)
         assert session.run([]) is not None
         assert stats.smt_checks > 0
         assert stats.smt_rounds > 0
@@ -88,16 +85,14 @@ class TestAssumptionCoreSkips:
         # unsat assumption core proves it, skipping the wider bounds.
         problem = _max2_problem()
         stats = SynthesisStats()
-        config = SynthConfig(const_bounds=(1, 10, 100))
-        session = FixedHeightSession(problem, 1, config, stats=stats)
+        session = FixedHeightSession(problem, 1, stats=stats)
         assert session.run([]) is None
         assert session.exhausted
         assert stats.assumption_core_skips > 0
 
     def test_dead_bounds_are_never_retried(self):
         problem = _const_problem(73)
-        config = SynthConfig(const_bounds=(1, 10, 100))
-        session = FixedHeightSession(problem, 1, config)
+        session = FixedHeightSession(problem, 1)
         # Widening discards bounds that cannot reach 73 (spec-constant
         # seeding may already drop some; the session must end viable).
         assert session.run([]) is not None
@@ -112,7 +107,7 @@ class TestHeightBudgetRegression:
         problem = _max2_problem()
         calls = []
 
-        def fake_fixed_height(problem, height, config, **kwargs):
+        def fake_fixed_height(problem, height, **kwargs):
             calls.append(height)
             if height == 1:
                 raise SolverBudgetExceeded("exceeded 20000 LIA nodes")
@@ -121,9 +116,8 @@ class TestHeightBudgetRegression:
             ).initial_candidate()
 
         monkeypatch.setattr(fixed_height_module, "fixed_height", fake_fixed_height)
-        synthesizer = HeightEnumerationSynthesizer(
-            SynthConfig(max_height=3, timeout=60.0)
-        )
+        monkeypatch.setattr(fixed_height_module, "MAX_HEIGHT", 3)
+        synthesizer = HeightEnumerationSynthesizer(60.0)
         outcome = synthesizer.synthesize(problem)
         assert calls == [1, 2] or calls[:2] == [1, 2]
         assert not outcome.timed_out
@@ -131,13 +125,12 @@ class TestHeightBudgetRegression:
     def test_real_wall_clock_expiry_still_times_out(self, monkeypatch):
         problem = _max2_problem()
 
-        def fake_fixed_height(problem, height, config, **kwargs):
+        def fake_fixed_height(problem, height, **kwargs):
             raise SolverBudgetExceeded("SMT deadline exceeded")
 
         monkeypatch.setattr(fixed_height_module, "fixed_height", fake_fixed_height)
-        synthesizer = HeightEnumerationSynthesizer(
-            SynthConfig(max_height=3, timeout=-1.0)
-        )
+        monkeypatch.setattr(fixed_height_module, "MAX_HEIGHT", 3)
+        synthesizer = HeightEnumerationSynthesizer(-1.0)
         outcome = synthesizer.synthesize(problem)
         assert outcome.timed_out
         assert not outcome.solved
@@ -145,13 +138,12 @@ class TestHeightBudgetRegression:
     def test_budget_exhaustion_on_every_height_is_not_a_timeout(self, monkeypatch):
         problem = _max2_problem()
 
-        def fake_fixed_height(problem, height, config, **kwargs):
+        def fake_fixed_height(problem, height, **kwargs):
             raise SolverBudgetExceeded("exceeded 20000 LIA nodes")
 
         monkeypatch.setattr(fixed_height_module, "fixed_height", fake_fixed_height)
-        synthesizer = HeightEnumerationSynthesizer(
-            SynthConfig(max_height=2, timeout=60.0)
-        )
+        monkeypatch.setattr(fixed_height_module, "MAX_HEIGHT", 2)
+        synthesizer = HeightEnumerationSynthesizer(60.0)
         outcome = synthesizer.synthesize(problem)
         assert not outcome.timed_out
         assert not outcome.solved

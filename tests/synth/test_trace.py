@@ -5,11 +5,12 @@ tests read back *how* a problem was solved from it.
 """
 
 from repro import obs
+from repro.bench.suite import find_benchmark
 from repro.lang import and_, eq, ge, int_var, or_
 from repro.lang.sorts import INT
 from repro.sygus.grammar import clia_grammar
 from repro.sygus.problem import SygusProblem, SynthFun
-from repro.synth import CooperativeSynthesizer, SynthConfig
+from repro.synth import CooperativeSynthesizer
 
 x, y = int_var("x"), int_var("y")
 
@@ -21,33 +22,35 @@ def _max2_problem():
     return SygusProblem(fun, spec, (x, y), name="max2")
 
 
-def _recorded_spans(config):
+def _recorded_spans(timeout, problem=None):
     with obs.recording() as recorder:
-        outcome = CooperativeSynthesizer(config).synthesize(_max2_problem())
+        outcome = CooperativeSynthesizer(timeout).synthesize(
+            problem or _max2_problem()
+        )
     assert outcome.solved
     return recorder.spans
 
 
 class TestCooperativeIntegration:
     def test_trace_captures_the_run(self):
-        spans = _recorded_spans(SynthConfig(timeout=60))
+        spans = _recorded_spans(60)
         deducts = [s for s in spans if s.name == "deduct"]
         assert any(s.attrs.get("problem") == "max2" for s in deducts)
         (root,) = [s for s in spans if s.name == "synth"]
         assert root.attrs.get("solved") is True
 
     def test_enum_heights_recorded_when_deduction_disabled(self):
-        spans = _recorded_spans(
-            SynthConfig(timeout=60, enable_deduction=False, enable_divide=False)
-        )
+        # max2 from input-output examples: deduction cannot solve it, so
+        # enumeration does.
+        spans = _recorded_spans(60, find_benchmark("pbe-max2").problem())
         heights = [
             s.attrs["height"]
             for s in sorted(spans, key=lambda s: s.start)
-            if s.name == "enum" and s.attrs.get("problem") == "max2"
+            if s.name == "enum" and s.attrs.get("problem") == "pbe-max2"
         ]
         assert heights and heights == sorted(heights)
         assert heights[-1] == 2  # max2 lives at height 2
 
     def test_no_trace_is_fine(self):
-        synthesizer = CooperativeSynthesizer(SynthConfig(timeout=60))
+        synthesizer = CooperativeSynthesizer(60)
         assert synthesizer.synthesize(_max2_problem()).solved

@@ -84,6 +84,30 @@ MULTI_SL = """
 """
 
 
+# Coupled: one constraint mentions both functions, so they are solved
+# jointly, which takes far longer than the budgets below.
+COUPLED_SL = """
+(set-logic LIA)
+(synth-fun bigger ((x Int) (y Int)) Int)
+(synth-fun smaller ((x Int) (y Int)) Int)
+(declare-var x Int)
+(declare-var y Int)
+(constraint (>= (bigger x y) x))
+(constraint (>= (bigger x y) y))
+(constraint (<= (smaller x y) x))
+(constraint (<= (smaller x y) y))
+(constraint (= (+ (bigger x y) (smaller x y)) (+ x y)))
+(check-synth)
+"""
+
+
+@pytest.fixture
+def multi_file(tmp_path):
+    path = tmp_path / "multi.sl"
+    path.write_text(MULTI_SL)
+    return str(path)
+
+
 class TestMultiFunctionCli:
     def test_multi_problem_prints_all_define_funs(self, tmp_path, capsys):
         path = tmp_path / "multi.sl"
@@ -93,6 +117,41 @@ class TestMultiFunctionCli:
         assert code == 0
         assert "(define-fun f ((x Int)) Int" in out
         assert "(define-fun g ((x Int)) Int" in out
+
+    def test_multi_problem_trace_and_smt_corpus(self, multi_file, tmp_path,
+                                                capsys):
+        corpus = tmp_path / "corpus"
+        code = main([multi_file, "--timeout", "60", "--trace",
+                     "--smt-corpus", str(corpus)])
+        assert code == 0
+        assert "subproblem tree:" in capsys.readouterr().err
+        assert list(corpus.glob("*.smtq.jsonl"))
+
+    def test_multi_problem_stats_line_matches_single(self, multi_file,
+                                                     max2_file, capsys):
+        def stats_line(path):
+            assert main([path, "--timeout", "60", "--stats"]) == 0
+            (line,) = capsys.readouterr().err.splitlines()
+            return line.split(" time=")[0], line.split(" stats=")[0]
+
+        multi_head, multi_prefix = stats_line(multi_file)
+        single_head, _ = stats_line(max2_file)
+        assert multi_head == single_head == "; solver=dryadsynth"
+        assert multi_prefix.endswith(" timed_out=False")
+
+    def test_multi_problem_deadline_prints_timeout(self, tmp_path, capsys):
+        path = tmp_path / "coupled.sl"
+        path.write_text(COUPLED_SL)
+        code = main([str(path), "--timeout", "0.3"])
+        assert code == 1
+        assert capsys.readouterr().out.strip() == "timeout"
+
+    def test_explain_runs_a_multi_function_problem(self, multi_file, capsys):
+        code = main(["explain", multi_file, "--timeout", "60"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert ": solved" in captured.err
+        assert "subproblem tree:" in captured.out
 
     def test_trace_flag_prints_events(self, max2_file, capsys):
         code = main([max2_file, "--timeout", "60", "--trace"])

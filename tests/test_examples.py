@@ -33,6 +33,19 @@ def test_multi_function_example():
     assert "jointly verified: True" in out
 
 
+@pytest.mark.parametrize(
+    "script, expected",
+    [
+        ("invariant_synthesis.py", "verified (pre, inductive, post): True"),
+        ("custom_grammar.py", "solved by deduction (Match): True"),
+    ],
+)
+def test_solver_example(script, expected):
+    # These build solvers directly, so they break if a solver's
+    # constructor changes.
+    assert expected in _run(script)
+
+
 def test_examples_exist_and_have_docstrings():
     for script in os.listdir(os.path.join(_REPO, "examples")):
         if not script.endswith(".py"):

@@ -8,7 +8,6 @@ representative of each track.
 import pytest
 
 from repro import parse_sygus_text, solve_sygus
-from repro.synth import SynthConfig
 
 
 def _solve_text(text, timeout=60, name="it"):
@@ -148,21 +147,20 @@ class TestGeneralTrack:
 
 
 class TestSolveSygusApi:
-    def test_timeout_leaves_callers_config_unchanged(self):
-        problem = parse_sygus_text(
+    def test_multi_function_problem_is_solved(self):
+        problem, outcome = _solve_text(
             """
             (set-logic LIA)
-            (synth-fun max2 ((x Int) (y Int)) Int)
+            (synth-fun f ((x Int)) Int)
+            (synth-fun g ((x Int)) Int)
             (declare-var x Int)
-            (declare-var y Int)
-            (constraint (>= (max2 x y) x))
-            (constraint (>= (max2 x y) y))
-            (constraint (or (= (max2 x y) x) (= (max2 x y) y)))
+            (constraint (= (f x) (+ x 2)))
+            (constraint (= (g x) (- x 2)))
             (check-synth)
-            """,
-            name="max2",
+            """
         )
-        config = SynthConfig()
-        outcome = solve_sygus(problem, timeout=5, config=config)
         assert outcome.solved
-        assert config.timeout is None
+        assert "(define-fun f" in outcome.solution.define_fun()
+        assert "(define-fun g" in outcome.solution.define_fun()
+        ok, _ = problem.verify(outcome.solution.bodies)
+        assert ok
