@@ -129,6 +129,26 @@ class TestRunSuite:
         reloaded = ResultsCache(path)
         assert reloaded.get(benchmarks[0], "dryadsynth", 20) is not None
 
+    def test_default_campaign_is_answered_from_the_committed_cache(
+        self, tmp_path, monkeypatch
+    ):
+        import shutil
+
+        from repro.bench import runner
+
+        def rerun(benchmark, solver_name, timeout):
+            raise AssertionError(f"re-ran {solver_name} on {benchmark.name}")
+
+        monkeypatch.setattr(runner, "run_benchmark", rerun)
+        committed = os.path.join(
+            os.path.dirname(__file__), "..", "..", "bench_results.json"
+        )
+        path = os.path.join(tmp_path, "bench_results.json")
+        shutil.copy(committed, path)
+        # The committed campaign ran every figure's solver at 10 s.
+        results = run_suite(timeout=10, cache=ResultsCache(path))
+        assert {r.solver for r in results} == set(runner.FIGURE_SOLVERS)
+
 
 class TestEubackSoundness:
     def test_euback_only_returns_verified_solutions(self):
