@@ -62,7 +62,11 @@ class RunResult:
 
 
 class _DeductionOnlySolver:
-    """Algorithm 3 standalone (the Figure 15 ablation)."""
+    """Algorithm 3 standalone (the Figure 15 ablation).
+
+    Deduction runs no search that a deadline could cut short, so the
+    timeout is taken only to share the solvers' constructor.
+    """
 
     name = "deduction"
 

@@ -228,9 +228,14 @@ class TestWeakerSpecSplits:
 
 
 class TestProposeSplits:
-    def test_cap_respected(self):
+    def test_cap_respected(self, monkeypatch):
+        from repro.synth import divide
+
         problem = _max3_qm_problem()
         assert len(propose_splits(problem)) <= MAX_SUBPROBLEMS
+        # qm max3 has two splits, so a cap of one cuts them.
+        monkeypatch.setattr(divide, "MAX_SUBPROBLEMS", 1)
+        assert len(propose_splits(problem)) == 1
 
     def test_inv_problems_get_weaker_spec_first(self):
         problem = InvariantProblem.from_updates(
