@@ -22,11 +22,10 @@ import time
 from typing import List, Optional, Sequence, Set
 
 from repro.lang.ast import Kind, Term
-from repro.lang.builders import add, and_, int_const, int_var, ite, or_, sub
+from repro.lang.builders import add, int_const, int_var, ite, sub
 from repro.lang.simplify import simplify
 from repro.lang.sorts import INT
 from repro.lang.traversal import (
-    contains_app,
     free_vars,
     subexpressions,
     substitute,

@@ -15,16 +15,15 @@ solution size).
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import int_const, ite
 from repro.lang.compile import compile_term
-from repro.lang.evaluator import EvaluationError, Value, evaluate
-from repro.lang.sorts import BOOL, INT, Sort
-from repro.lang.traversal import subexpressions, substitute
+from repro.lang.evaluator import EvaluationError
+from repro.lang.sorts import BOOL, INT
+from repro.lang.traversal import subexpressions
 from repro.smt.solver import SolverBudgetExceeded
 from repro.sygus.grammar import (
     Grammar,

@@ -21,10 +21,9 @@ import time
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.lang.ast import Kind, Term
-from repro.lang.builders import add, and_, ge, int_const, le, not_, or_, sub
+from repro.lang.builders import add, and_, ge, le, or_, sub
 from repro.lang.evaluator import EvaluationError, Value, evaluate
 from repro.lang.simplify import simplify
-from repro.lang.sorts import BOOL
 from repro.lang.traversal import subexpressions
 from repro.smt.solver import SolverBudgetExceeded
 from repro.sygus.problem import InvariantProblem, Solution, SygusProblem

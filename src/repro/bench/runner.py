@@ -147,7 +147,9 @@ def run_benchmark(
     try:
         outcome = solver.synthesize(problem)
     except Exception:
-        outcome = SynthesisOutcome(None, SynthesisStats(), timed_out=True)
+        # A crash is unsolved; like any run, it timed out only if the wall
+        # time passed the budget (the pool path records it as ``error``).
+        outcome = SynthesisOutcome(None, SynthesisStats())
     elapsed = time.monotonic() - start
     result = RunResult(
         benchmark=benchmark.name,

@@ -9,7 +9,7 @@ cactus plots and per-track counts need to reproduce their shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 from repro.lang.ast import Term
 from repro.lang.builders import (
@@ -28,7 +28,7 @@ from repro.lang.builders import (
     or_,
     sub,
 )
-from repro.lang.sorts import BOOL, INT
+from repro.lang.sorts import INT
 from repro.sygus.grammar import (
     Grammar,
     InterpretedFunction,

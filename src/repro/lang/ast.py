@@ -96,9 +96,17 @@ class Term:
         payload: Payload = None,
         sort: Optional[Sort] = None,
     ) -> "Term":
-        """Construct (or retrieve) an interned term, inferring the sort."""
+        """Construct (or retrieve) an interned term, inferring the sort.
+
+        A term already interned passed the well-formedness check when it was
+        built, so only a new key is checked.  The payload's type must match
+        too: ``1.0 == 1``, but a float constant is still rejected.
+        """
         if sort is None:
             sort = _infer_sort(kind, args, payload)
+        existing = Term._interned.get((kind, args, payload, sort))
+        if existing is not None and type(existing.payload) is type(payload):
+            return existing
         _check_well_formed(kind, args, payload, sort)
         return Term(kind, args, payload, sort)
 

@@ -8,6 +8,8 @@ to the deductive rules or the SMT solver.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import (
     and_,
@@ -21,9 +23,15 @@ from repro.lang.builders import (
 from repro.lang.traversal import rewrite_bottom_up
 
 
+#: Every term simplified in this process -> its simplified form.  The rewrite
+#: is a pure function of interned terms, and interned terms live as long as
+#: the process, so the table is never cleared.
+_simplified: Dict[Term, Term] = {}
+
+
 def simplify(term: Term) -> Term:
     """Simplify ``term``; the result is logically equivalent."""
-    return rewrite_bottom_up(term, _simplify_node)
+    return rewrite_bottom_up(term, _simplify_node, _simplified)
 
 
 def _const_value(term: Term):

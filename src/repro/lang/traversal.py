@@ -1,12 +1,23 @@
 """Traversals over terms: free variables, substitution, subexpressions.
 
-All functions are memoised per call via dictionaries keyed on the interned
-terms, so shared subterms are visited once.
+All functions are memoised via dictionaries keyed on the interned terms, so
+shared subterms are visited once.  The memo lives for one call, except that
+a pure rewrite may hand :func:`rewrite_bottom_up` a table it keeps across
+calls.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+)
 
 from repro.lang.ast import Kind, Term
 
@@ -63,13 +74,21 @@ def app_occurrences(term: Term, name: str) -> list[Term]:
     ]
 
 
-def rewrite_bottom_up(term: Term, rewrite: Callable[[Term], Term]) -> Term:
+def rewrite_bottom_up(
+    term: Term,
+    rewrite: Callable[[Term], Term],
+    cache: Optional[Dict[Term, Term]] = None,
+) -> Term:
     """Rebuild ``term`` bottom-up, applying ``rewrite`` at every node.
 
     ``rewrite`` receives a node whose children have already been rewritten and
-    returns its replacement (possibly the node itself).
+    returns its replacement (possibly the node itself).  ``cache`` maps each
+    node already visited to its result; a fresh one is used when it is
+    omitted.  Passing one table across calls is sound only when ``rewrite``
+    is a pure function of its interned argument.
     """
-    cache: Dict[Term, Term] = {}
+    if cache is None:
+        cache = {}
 
     def go(t: Term) -> Term:
         hit = cache.get(t)

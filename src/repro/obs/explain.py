@@ -17,7 +17,7 @@ attribution, not a collection of timers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs import forensics
 from repro.obs.spans import ObsEvent, Span, SpanTree

@@ -37,7 +37,6 @@ order is strictly daemon → pool.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from collections import deque
@@ -46,7 +45,7 @@ from typing import Dict, List, Optional
 from repro import obs
 from repro.obs import trace
 from repro.serve import protocol
-from repro.serve.protocol import BadRequest, SubmitRequest
+from repro.serve.protocol import SubmitRequest
 from repro.serve.queues import FairScheduler, QueueEntry
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobResult, SynthesisJob

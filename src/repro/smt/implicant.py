@@ -10,11 +10,11 @@ boolean model to the theory solver" optimisation of lazy SMT.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.lang.ast import Kind, Term
 from repro.smt.linear import LinAtom
-from repro.smt.tseitin import CnfEncoder
+from repro.smt.tseitin import CnfEncoder, comparison_entry
 
 _COMPARISON_KINDS = (Kind.GE, Kind.GT, Kind.LE, Kind.LT)
 
@@ -46,7 +46,7 @@ class ImplicantExtractor:
             var = self._encoder.bool_vars[term.payload]  # type: ignore[index]
             return self._model[var]
         if kind in _COMPARISON_KINDS:
-            atom, positive, trivial = self._encoder.comparison_info[term]
+            atom, positive, trivial = comparison_entry(term)
             if atom is None:
                 return bool(trivial)
             return self._model[self._encoder.atom_vars[atom]] == positive
@@ -73,7 +73,7 @@ class ImplicantExtractor:
         if kind is Kind.VAR:
             return  # boolean variables do not constrain the theory
         if kind in _COMPARISON_KINDS:
-            atom, positive, trivial = self._encoder.comparison_info[term]
+            atom, positive, trivial = comparison_entry(term)
             if atom is None:
                 return
             self.needed[atom] = positive == desired

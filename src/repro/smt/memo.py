@@ -22,7 +22,12 @@ formula, and ``SmtSolver.solve`` looks the key up before CNF-encoding
 anything.  A hit therefore does no encoding and no SAT work; the pending
 assertions are encoded, in add order, by the next solve that misses, so
 an encoding error (an uninlined function application, say) surfaces from
-that ``solve()``.
+that ``solve()``.  Only the Tseitin encoding and its clauses are built per
+solver: simplified and prepared forms and canonical comparison atoms are
+read from process-wide tables keyed by interned term
+(:func:`~repro.lang.simplify.simplify`,
+:func:`~repro.smt.tseitin.prepare_formula`,
+:func:`~repro.smt.tseitin.comparison_entry`).
 
 **Soundness.**  Only SAT/UNSAT results are stored: a budget or deadline
 abort (:class:`SolverBudgetExceeded`) describes the *run*, not the query,

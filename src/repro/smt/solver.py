@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
@@ -76,8 +76,8 @@ class SmtStats:
 class SmtSolver:
     """An incremental QF_LIA satisfiability checker.
 
-    Assertions (and the clauses, atom canonicalisation and learned theory
-    lemmas derived from them) accumulate across :meth:`check`/:meth:`solve`
+    Assertions (and the clauses, atom variables and learned theory lemmas
+    derived from them) accumulate across :meth:`check`/:meth:`solve`
     calls on one instance — CEGIS-style loops that strengthen a query keep
     everything already derived.  Use a fresh instance, as
     :func:`check_sat`/:func:`is_valid` do, for isolated one-shot checks.
@@ -120,8 +120,10 @@ class SmtSolver:
         solve.  So a formula the encoder rejects raises from that
         ``solve()``, not from ``add()``: ``ValueError`` for an uninlined
         function application, ``LinearityError`` for a nonlinear term.
-        Clauses, atom canonicalisation and
-        learned theory lemmas persist across :meth:`solve` calls, so
+        Only the Tseitin encoding and its clauses are built per solver; the
+        simplified and prepared forms and the canonical comparison atoms
+        come from process-wide tables that every solver shares.  Clauses
+        and learned theory lemmas persist across :meth:`solve` calls, so
         CEGIS-style loops that strengthen one query keep everything the
         solver already derived.
         """

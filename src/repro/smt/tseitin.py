@@ -13,13 +13,21 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.lang.ast import Kind, Term
-from repro.lang.builders import and_, eq, ge, int_const
+from repro.lang.builders import and_, ge, int_const
 from repro.lang.sorts import BOOL, INT
 from repro.lang.traversal import rewrite_bottom_up
 from repro.smt.linear import LinAtom, canonical_atom, term_to_linexpr
 from repro.smt.sat import SatSolver
 
 _COMPARISON_KINDS = (Kind.GE, Kind.GT, Kind.LE, Kind.LT)
+
+#: Every formula prepared in this process -> its prepared form; see
+#: :func:`prepare_formula`.
+_prepared: Dict[Term, Term] = {}
+
+#: Comparison term -> (canonical atom or None, positive, trivial truth
+#: value); see :func:`comparison_entry`.
+_comparison_entries: Dict[Term, Tuple[Optional[LinAtom], bool, Optional[bool]]] = {}
 
 
 def prepare_formula(term: Term) -> Term:
@@ -28,7 +36,9 @@ def prepare_formula(term: Term) -> Term:
 
     After this pass, every ``ite`` in the formula has boolean branches (it is
     part of the boolean skeleton), every comparison is a purely linear
-    inequality, and every ``=`` left is a boolean equivalence.
+    inequality, and every ``=`` left is a boolean equivalence.  The rewrite
+    is a pure function of interned terms, so each node is prepared once per
+    process and later solvers read the result from one table.
     """
 
     def rw(t: Term) -> Term:
@@ -67,7 +77,7 @@ def prepare_formula(term: Term) -> Term:
                 return and_(ge(a, b), ge(b, a))
         return t
 
-    return rewrite_bottom_up(term, rw)
+    return rewrite_bottom_up(term, rw, _prepared)
 
 
 class CnfEncoder:
@@ -77,8 +87,6 @@ class CnfEncoder:
         self.sat = sat or SatSolver()
         self.atom_vars: Dict[LinAtom, int] = {}
         self.bool_vars: Dict[str, int] = {}
-        #: Comparison term -> (atom or None, positive, trivial truth value).
-        self.comparison_info: Dict[Term, Tuple[Optional[LinAtom], bool, Optional[bool]]] = {}
         self._term_lits: Dict[Term, int] = {}
         self._true_lit: Optional[int] = None
         self.asserted: list[Term] = []
@@ -188,24 +196,42 @@ class CnfEncoder:
         raise ValueError(f"cannot encode term of kind {kind}: {term!r}")
 
     def _encode_comparison(self, term: Term) -> int:
-        left, right = term.args
-        kind = term.kind
-        if kind is Kind.GE:
-            diff = _linexpr_diff(left, right, 0)
-        elif kind is Kind.GT:
-            diff = _linexpr_diff(left, right, -1)
-        elif kind is Kind.LE:
-            diff = _linexpr_diff(right, left, 0)
-        else:  # LT
-            diff = _linexpr_diff(right, left, -1)
-        atom, positive = canonical_atom(diff)
-        if not atom.coeffs:
-            # Trivial atom: constant truth value.
-            truth = (atom.const >= 0) == positive
-            self.comparison_info[term] = (None, positive, truth)
+        atom, positive, truth = comparison_entry(term)
+        if atom is None:
             return self.true_lit() if truth else -self.true_lit()
-        self.comparison_info[term] = (atom, positive, None)
         return self.atom_literal(atom, positive)
+
+
+def comparison_entry(term: Term) -> Tuple[Optional[LinAtom], bool, Optional[bool]]:
+    """The canonical atom of a prepared comparison, and its polarity.
+
+    Returns ``(atom, positive, None)``, or ``(None, positive, truth)`` when
+    the comparison has no variables and is constantly ``truth``.  The entry
+    is a pure function of the interned term, so it is computed once per
+    process; a nonlinear comparison raises :class:`LinearityError` and
+    stores nothing.
+    """
+    entry = _comparison_entries.get(term)
+    if entry is not None:
+        return entry
+    left, right = term.args
+    kind = term.kind
+    if kind is Kind.GE:
+        diff = _linexpr_diff(left, right, 0)
+    elif kind is Kind.GT:
+        diff = _linexpr_diff(left, right, -1)
+    elif kind is Kind.LE:
+        diff = _linexpr_diff(right, left, 0)
+    else:  # LT
+        diff = _linexpr_diff(right, left, -1)
+    atom, positive = canonical_atom(diff)
+    if not atom.coeffs:
+        # Trivial atom: constant truth value.
+        entry = (None, positive, (atom.const >= 0) == positive)
+    else:
+        entry = (atom, positive, None)
+    _comparison_entries[term] = entry
+    return entry
 
 
 def _linexpr_diff(left: Term, right: Term, offset: int):

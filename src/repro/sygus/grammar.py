@@ -254,7 +254,6 @@ def minimal_member(grammar: Grammar, from_nonterminal: Optional[str] = None) -> 
     whose recursive positions can themselves be derived (with a cycle guard).
     Returns None for nonterminals that derive nothing.
     """
-    from repro.lang.traversal import rewrite_bottom_up
 
     def derive(nt: str, visiting: frozenset) -> Optional[Term]:
         if nt in visiting:

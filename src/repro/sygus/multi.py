@@ -9,14 +9,14 @@ project out the joint verification query otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import and_, bool_const
 from repro.lang.printer import define_fun_sexpr
 from repro.lang.traversal import contains_app, substitute_apps
-from repro.sygus.problem import Solution, SygusProblem, SynthFun
+from repro.sygus.problem import SygusProblem, SynthFun
 
 
 @dataclass(frozen=True)

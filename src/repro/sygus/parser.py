@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lang.ast import Kind, Term
+from repro.lang.ast import Term
 from repro.lang.builders import (
     add,
     and_,

@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.lang.ast import Kind, Term
-from repro.lang.builders import and_, apply_fn, eq, implies, int_var, var
+from repro.lang.ast import Term
+from repro.lang.builders import and_, apply_fn, eq, implies, var
 from repro.lang.evaluator import Value, evaluate
 from repro.lang.printer import define_fun_sexpr
-from repro.lang.sorts import BOOL, INT, Sort
+from repro.lang.sorts import BOOL, Sort
 from repro.lang.traversal import (
     app_occurrences,
     free_vars,
     substitute_apps,
 )
-from repro.sygus.grammar import Grammar, InterpretedFunction, clia_grammar
+from repro.sygus.grammar import Grammar, clia_grammar
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ test suite uses as a strong well-formedness check.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
 from repro.lang.ast import Kind, Term
 from repro.lang.printer import to_sexpr

@@ -40,7 +40,6 @@ from repro.lang.builders import (
     not_,
     or_,
     sub,
-    true,
 )
 from repro.lang.simplify import simplify
 from repro.lang.sorts import INT

@@ -15,12 +15,12 @@ and converting a solved coefficient assignment back into a CLIA term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
-from repro.lang.ast import Kind, Term
+from repro.lang.ast import Term
 from repro.lang.builders import add, ge, int_const, int_var, ite, mul
 from repro.lang.simplify import simplify
-from repro.lang.sorts import BOOL, INT, Sort
+from repro.lang.sorts import INT, Sort
 
 
 def num_nodes(height: int) -> int:

@@ -23,8 +23,8 @@ solved by CVC4's CEGQI for conjunctive/disjunctive comparison specs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import (

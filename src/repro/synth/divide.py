@@ -26,11 +26,10 @@ from typing import Callable, List, Optional, Tuple, Union
 
 from repro.lang.ast import Kind, Term
 from repro.obs import forensics
-from repro.lang.builders import and_, eq, ge, implies, ite, le, not_, or_, var
+from repro.lang.builders import and_, eq, ite, or_
 from repro.lang.simplify import simplify
 from repro.lang.sorts import BOOL, INT
 from repro.lang.traversal import (
-    app_occurrences,
     contains_app,
     free_vars,
     subexpressions,

@@ -27,11 +27,10 @@ The interface:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import (
-    add,
     and_,
     bool_var,
     eq,
@@ -40,7 +39,6 @@ from repro.lang.builders import (
     implies,
     int_const,
     int_var,
-    ite,
     le,
     not_,
     or_,

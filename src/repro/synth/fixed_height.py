@@ -12,7 +12,7 @@ paper's ablation study (Figure 14).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.lang.ast import Kind, Term

@@ -20,10 +20,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.lang.ast import Kind, Term
-from repro.lang.builders import add, and_, eq, ge, int_const, mul, or_, sub
+from repro.lang.builders import add, and_, eq, ge, int_const, or_, sub
 from repro.lang.simplify import simplify
-from repro.lang.sorts import INT
-from repro.lang.traversal import free_vars, substitute
+from repro.lang.traversal import free_vars
 from repro.smt.linear import LinearityError, LinExpr, term_to_linexpr
 from repro.sygus.problem import InvariantProblem, SygusProblem
 

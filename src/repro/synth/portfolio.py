@@ -17,7 +17,7 @@ ceiling a portfolio could reach.  This module provides both:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.sygus.problem import SygusProblem
 from repro.synth.result import SynthesisOutcome, SynthesisStats

@@ -42,6 +42,19 @@ class TestRunBenchmark:
         result = run_benchmark(find_benchmark("qm-max3"), "eusolver", 1)
         assert not result.solved
 
+    def test_crash_is_recorded_unsolved_not_timed_out(self, monkeypatch):
+        from repro.bench import runner
+
+        class Crashing:
+            def synthesize(self, problem):
+                raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(runner, "make_solver", lambda name, timeout: Crashing())
+        result = run_benchmark(find_benchmark("abs"), "dryadsynth", 20)
+        assert not result.solved
+        assert not result.timed_out
+        assert result.solution_size is None
+
     def test_json_round_trip(self):
         result = RunResult("b", "CLIA", "s", True, 1.5, 7, 3, False, True)
         assert RunResult.from_json(result.to_json()) == result

@@ -97,6 +97,54 @@ class TestWellFormedness:
             eq(int_var("x"), bool_var("p"))
 
 
+# One ill-formed construction per error branch of the well-formedness
+# check, as ``Term.make`` arguments, with the message it must raise.
+_X, _P = int_var("x"), bool_var("p")
+ILL_FORMED = [
+    ((Kind.CONST, (_X,), 1), "constants take no arguments"),
+    ((Kind.CONST, (), "one"), "bad constant payload"),
+    ((Kind.CONST, (), 1.0), "bad constant payload"),  # 1.0 == 1, still rejected
+    ((Kind.VAR, (_X,), "v", INT), "variables take a name and no arguments"),
+    ((Kind.VAR, (), 7, INT), "variables take a name and no arguments"),
+    ((Kind.APP, (_X,), 7, INT), "applications require a function name"),
+    ((Kind.NEG, (_X, _X)), "negation is unary"),
+    ((Kind.SUB, (_X,)), "- is binary"),
+    ((Kind.MUL, (_X, _X, _X)), r"\* is binary"),
+    ((Kind.ADD, (_X,)), "addition takes at least two arguments"),
+    ((Kind.ADD, (_X, _P)), "arithmetic over non-Int child"),
+    ((Kind.GE, (_X,)), "comparisons are binary"),
+    ((Kind.LT, (_P, _P)), "ordering comparisons require Int children"),
+    ((Kind.EQ, (_X, _P)), "equality requires same-sorted children"),
+    ((Kind.NOT, (_P, _P)), "not is unary"),
+    ((Kind.IMPLIES, (_P,)), "=> is binary"),
+    ((Kind.OR, (_P,)), "or takes at least two arguments"),
+    ((Kind.AND, (_P, _X)), "connective over non-Bool child"),
+    ((Kind.ITE, (_P, _X), None, INT), "ite is ternary"),
+    ((Kind.ITE, (_X, _X, _X)), "ite condition must be Bool"),
+    ((Kind.ITE, (_P, _X, _P)), "ite branches must agree on sort"),
+    (("not-a-kind", (), None, INT), "unknown kind"),
+]
+
+
+class TestMakeRejectsOnEveryAttempt:
+    """Only new keys are checked, so an ill-formed key must never be interned."""
+
+    @pytest.mark.parametrize(
+        "args,message", ILL_FORMED, ids=[m for _, m in ILL_FORMED]
+    )
+    def test_ill_formed_raises_first_and_on_repeat(self, args, message):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                Term.make(*args)
+
+    def test_well_formed_repeat_is_the_same_object(self):
+        first = Term.make(Kind.ITE, (_P, _X, Term.make(Kind.CONST, (), 3)))
+        again = Term.make(Kind.ITE, (_P, _X, Term.make(Kind.CONST, (), 3)))
+        assert again is first
+        assert Term.make(Kind.CONST, (), True) is bool_const(True)
+        assert Term.make(Kind.CONST, (), 1) is int_const(1)
+
+
 class TestMetrics:
     def test_leaf_height_is_one(self):
         assert int_var("x").height == 1
