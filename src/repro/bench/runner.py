@@ -52,6 +52,8 @@ class RunResult:
     solution_height: Optional[int] = None
     timed_out: bool = False
     deduction_solved: bool = False
+    #: ``"Type: message"`` of the exception a crashed run raised.
+    error: Optional[str] = None
 
     def to_json(self) -> Dict:
         return asdict(self)
@@ -144,12 +146,14 @@ def run_benchmark(
     problem = benchmark.problem()
     solver = make_solver(solver_name, timeout)
     start = time.monotonic()
+    error = None
     try:
         outcome = solver.synthesize(problem)
-    except Exception:
+    except Exception as exc:  # noqa: BLE001 - recorded, like the pool's crash
         # A crash is unsolved; like any run, it timed out only if the wall
-        # time passed the budget (the pool path records it as ``error``).
+        # time passed the budget.
         outcome = SynthesisOutcome(None, SynthesisStats())
+        error = f"{type(exc).__name__}: {exc}"
     elapsed = time.monotonic() - start
     result = RunResult(
         benchmark=benchmark.name,
@@ -159,6 +163,7 @@ def run_benchmark(
         time_seconds=round(elapsed, 4),
         timed_out=outcome.timed_out or elapsed > timeout,
         deduction_solved=outcome.stats.deduction_solved,
+        error=error,
     )
     if outcome.solution is not None:
         result.solution_size = outcome.solution.size
@@ -304,7 +309,11 @@ def _run_suite_parallel(
 def _job_to_run_result(
     benchmark: Benchmark, solver_name: str, timeout: float, job_result
 ) -> RunResult:
-    """Translate a service :class:`JobResult` into the campaign's record."""
+    """Translate a service :class:`JobResult` into the campaign's record.
+
+    The timed-out rule is :func:`run_benchmark`'s: a ``crashed`` job is
+    unsolved with its error kept, timed out only past the budget.
+    """
     solved = job_result.status == "solved"
     return RunResult(
         benchmark=benchmark.name,
@@ -314,7 +323,8 @@ def _job_to_run_result(
         time_seconds=round(job_result.wall_time, 4),
         solution_size=job_result.solution_size,
         solution_height=job_result.solution_height,
-        timed_out=job_result.status in ("timeout", "crashed")
+        timed_out=job_result.status == "timeout"
         or job_result.wall_time > timeout,
         deduction_solved=bool(job_result.stats.get("deduction_solved", False)),
+        error=job_result.error,
     )

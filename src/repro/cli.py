@@ -16,10 +16,6 @@ priorities and backpressure, cache-first admission, graceful SIGTERM drain.
 report (plus the hottest SMT queries) from a span dump produced with
 ``--spans-out`` (see :mod:`repro.obs` and docs/OBSERVABILITY.md).
 
-``dryadsynth flame spans.jsonl`` renders the sampled wall-clock stack
-profile recorded with ``--sample`` — hottest frames, FlameGraph/speedscope
-``.collapsed`` export, diff-vs-baseline (:mod:`repro.obs.sampler`).
-
 ``dryadsynth postmortem journal.flight.jsonl`` reconstructs what a killed
 worker was doing from its flight-recorder journal (``batch --flight-dir``).
 
@@ -316,20 +312,6 @@ def build_batch_arg_parser() -> argparse.ArgumentParser:
         "and its job completes as oom_budget (with a postmortem when "
         "--flight-dir is set), never a pool crash",
     )
-    parser.add_argument(
-        "--sample",
-        action="store_true",
-        help="run a wall-clock stack sampler inside every worker and merge "
-        "the profiles fleet-wide (render with `dryadsynth flame`; implies "
-        "--telemetry)",
-    )
-    parser.add_argument(
-        "--collapsed-out",
-        metavar="PATH",
-        default=None,
-        help="write the merged sampled profile as FlameGraph/speedscope "
-        "collapsed-stack text to PATH (implies --sample)",
-    )
     _add_telemetry_out_args(parser)
     return parser
 
@@ -358,22 +340,18 @@ def _batch_main(argv) -> int:
         print("error: no .sl files found", file=sys.stderr)
         return 2
     serve = args.serve_telemetry is not None
-    sample = bool(args.sample or args.collapsed_out)
     telemetry = bool(
         args.telemetry or args.spans_out or args.metrics_out or serve
-        or sample
     )
     jobs = []
     for path in files:
         try:
-            job = SynthesisJob.from_file(
+            jobs.append(SynthesisJob.from_file(
                 path,
                 solver=args.solver,
                 timeout=args.timeout,
                 telemetry=telemetry,
-            )
-            job.sample = sample
-            jobs.append(job)
+            ))
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -410,28 +388,6 @@ def _batch_main(argv) -> int:
                 if server is not None:
                     server.stop()
         _write_telemetry(recorder, args)
-        if args.collapsed_out:
-            from repro.obs.sampler import write_collapsed
-
-            profile = getattr(recorder, "profile", None)
-            if profile is not None and profile.samples:
-                try:
-                    write_collapsed(profile, args.collapsed_out)
-                    print(
-                        f"; wrote {profile.samples} samples over "
-                        f"{len(profile.pids)} process(es) to "
-                        f"{args.collapsed_out}",
-                        file=sys.stderr,
-                    )
-                except OSError as exc:
-                    print(f"warning: cannot write collapsed profile: "
-                          f"{exc}", file=sys.stderr)
-            else:
-                print(
-                    "warning: no stack samples collected; "
-                    "collapsed profile not written",
-                    file=sys.stderr,
-                )
     else:
         with pool:
             results = pool.run(jobs, progress=progress)
@@ -743,12 +699,10 @@ def build_profile_arg_parser() -> argparse.ArgumentParser:
 def _profile_main(argv) -> int:
     from repro.obs.export import read_spans_jsonl
     from repro.obs.profile import profile_text
-    from repro.obs.sampler import read_profile_record
 
     args = build_profile_arg_parser().parse_args(argv)
     try:
         spans, events, header = read_spans_jsonl(args.file)
-        sampled = read_profile_record(args.file)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -772,162 +726,9 @@ def _profile_main(argv) -> int:
         except OSError as exc:
             print(f"warning: cannot write trace: {exc}", file=sys.stderr)
     try:
-        print(profile_text(spans, top=args.top, profile=sampled))
+        print(profile_text(spans, top=args.top))
     except BrokenPipeError:
         # Downstream pager/head closed early; not an error.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
-
-
-def build_flame_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dryadsynth flame",
-        description=(
-            "Render a sampled stack profile: top-k hottest frames (self and "
-            "total samples) from a span dump carrying a profile record "
-            "(--sample) or from a .collapsed file, with FlameGraph/"
-            "speedscope export and diff-vs-baseline mode."
-        ),
-    )
-    parser.add_argument(
-        "target",
-        help="a span JSONL dump recorded with --sample, or a .collapsed "
-        "collapsed-stack file",
-    )
-    parser.add_argument(
-        "--top",
-        type=int,
-        default=15,
-        metavar="K",
-        help="hottest frames to show (default: 15)",
-    )
-    parser.add_argument(
-        "--collapsed-out",
-        metavar="PATH",
-        default=None,
-        help="export the profile as collapsed-stack text (feed to "
-        "flamegraph.pl or drop into speedscope.app)",
-    )
-    parser.add_argument(
-        "--diff",
-        metavar="BASELINE",
-        default=None,
-        help="diff against a baseline profile (span dump or .collapsed): "
-        "shows per-frame self-sample share deltas",
-    )
-    return parser
-
-
-def _load_stack_profile(path: str):
-    """A StackProfile from either a ``.collapsed`` file or a span dump."""
-    from repro.obs.sampler import load_collapsed, read_profile_record
-
-    if path.endswith(".collapsed"):
-        return load_collapsed(path)
-    return read_profile_record(path)
-
-
-def _render_flame(profile, top: int) -> str:
-    total = profile.samples or 1
-    lines = [
-        f"sampled profile: {profile.samples} samples over "
-        f"{profile.duration:.2f}s at {profile.interval * 1000:.0f}ms interval"
-        + (f", pids {sorted(profile.pids)}" if profile.pids else "")
-    ]
-    self_counts = sorted(
-        profile.self_counts().items(), key=lambda kv: (-kv[1], kv[0])
-    )
-    total_counts = profile.total_counts()
-    lines.append(f"top {min(top, len(self_counts))} frames by self samples:")
-    lines.append(f"  {'self':>6} {'self%':>6} {'total':>6}  frame")
-    for frame, count in self_counts[:top]:
-        lines.append(
-            f"  {count:>6} {100 * count / total:>5.1f}% "
-            f"{total_counts.get(frame, count):>6}  {frame}"
-        )
-    dark = sum(profile.dark.values())
-    lines.append(
-        f"dark: {dark}/{profile.samples} samples taken outside any span "
-        f"({100 * dark / total:.1f}%)"
-    )
-    return "\n".join(lines)
-
-
-def _render_flame_diff(profile, baseline, top: int) -> str:
-    """Per-frame self-sample *share* deltas vs a baseline profile.
-
-    Shares (fractions of each run's total samples) rather than raw counts,
-    so runs of different lengths compare meaningfully.
-    """
-    ours = profile.self_counts()
-    theirs = baseline.self_counts()
-    our_total = profile.samples or 1
-    their_total = baseline.samples or 1
-    deltas = []
-    for frame in set(ours) | set(theirs):
-        share_now = ours.get(frame, 0) / our_total
-        share_then = theirs.get(frame, 0) / their_total
-        delta = share_now - share_then
-        if abs(delta) > 1e-9:
-            deltas.append((delta, frame, share_now, share_then))
-    deltas.sort(key=lambda row: (-abs(row[0]), row[1]))
-    lines = [
-        f"profile diff: {profile.samples} samples vs "
-        f"{baseline.samples} baseline samples "
-        f"(self-sample share, positive = hotter now)"
-    ]
-    if not deltas:
-        lines.append("  no per-frame share changes")
-        return "\n".join(lines)
-    lines.append(f"  {'delta':>8} {'now':>7} {'base':>7}  frame")
-    for delta, frame, now, then in deltas[:top]:
-        lines.append(
-            f"  {100 * delta:>+7.1f}% {100 * now:>6.1f}% "
-            f"{100 * then:>6.1f}%  {frame}"
-        )
-    return "\n".join(lines)
-
-
-def _flame_main(argv) -> int:
-    args = build_flame_arg_parser().parse_args(argv)
-    try:
-        profile = _load_stack_profile(args.target)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if profile is None or not profile.samples:
-        print(
-            f"error: no sampled profile in {args.target} "
-            "(record one with --sample)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.collapsed_out:
-        from repro.obs.sampler import write_collapsed
-
-        try:
-            write_collapsed(profile, args.collapsed_out)
-            print(f"; wrote {args.collapsed_out}", file=sys.stderr)
-        except OSError as exc:
-            print(f"warning: cannot write collapsed profile: {exc}",
-                  file=sys.stderr)
-    try:
-        if args.diff:
-            try:
-                baseline = _load_stack_profile(args.diff)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            if baseline is None or not baseline.samples:
-                print(f"error: no sampled profile in {args.diff}",
-                      file=sys.stderr)
-                return 2
-            print(_render_flame_diff(profile, baseline, args.top))
-        else:
-            print(_render_flame(profile, args.top))
-    except BrokenPipeError:
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -1105,7 +906,6 @@ SUBCOMMANDS = {
     "batch": _batch_main,
     "serve": _serve_main,
     "profile": _profile_main,
-    "flame": _flame_main,
     "postmortem": _postmortem_main,
     "explain": _explain_main,
     "diff": _diff_main,

@@ -23,6 +23,10 @@ Five layers (see ``docs/OBSERVABILITY.md``):
   worker dies (``dryadsynth postmortem <journal>``); ``explain`` and
   ``profile`` read it like any other dump.
 
+Spans name layers, not functions: a per-function hot spot comes from
+running the same solver a worker runs under cProfile
+(``python -m cProfile -s tottime -m repro.cli FILE.sl``).
+
 Recording is **disabled by default**.  Instrumented modules call the
 ambient helpers in this module (:func:`span`, :func:`event`,
 :func:`metrics`); until a recorder is installed with :func:`recording`
@@ -184,9 +188,7 @@ def merge_job_telemetry(
         parent_id=parent_id,
     )
     recorder.metrics.merge(telemetry.get("metrics"))
-    # Sampled stack profiles merge by collapsed-stack key, exactly like
-    # metric snapshots; per-job rusage lands as fleet-wide gauges/counters.
-    recorder.merge_profile(telemetry.get("profile"))
+    # Per-job rusage lands as fleet-wide gauges/counters.
     rusage = telemetry.get("rusage")
     if rusage:
         peak = rusage.get("peak_rss_bytes")

@@ -16,7 +16,7 @@ either; all of them read through :func:`scan_lines`.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import ObsEvent, Span, SpanRecorder
@@ -44,30 +44,22 @@ def dump_spans_jsonl(recorder: SpanRecorder, handle: TextIO) -> None:
         handle.write(json.dumps({"span": span.to_json()}) + "\n")
     for event in recorder.events:
         handle.write(json.dumps({"event": event.to_json()}) + "\n")
-    # The sampled stack profile (when a sampler ran) rides in the same dump
-    # as its own record kind; older readers skip unknown kinds.
-    profile = getattr(recorder, "profile", None)
-    if profile is not None:
-        handle.write(json.dumps({"profile": profile.to_json()}) + "\n")
 
 
-def scan_lines(
-    path: str, parse: Callable = json.loads
-) -> Tuple[List, bool, List[Tuple[int, ValueError]]]:
-    """Parse a line-per-record file whose *final* line may be torn mid-write.
+def scan_lines(path: str) -> Tuple[List, bool, List[Tuple[int, ValueError]]]:
+    """Parse a JSONL file whose *final* line may be torn mid-write.
 
-    The torn-tail contract of the repo's append-only stores (span dumps,
-    flight journals, the sampler's ``.collapsed`` export): a writer killed
-    mid-append (SIGKILL, hard deadline, power loss) leaves a truncated
-    trailing line behind, and that torn tail — including one cut in the
-    middle of a multi-byte UTF-8 character, which is why the read is
-    binary — is dropped so every complete record before it is still
-    recovered.  ``parse`` maps one raw line to a record and raises
-    ``ValueError`` (``json.JSONDecodeError`` and ``UnicodeDecodeError``
-    both are) on a damaged one.  Returns ``(records, torn, damaged)``:
-    ``torn`` says the final line was dropped, and ``damaged`` lists each
-    damaged *interior* line as ``(line number, error)`` — reported, not
-    raised, so each caller decides whether damage is fatal.
+    The torn-tail contract of the repo's append-only stores (span dumps
+    and flight journals): a writer killed mid-append (SIGKILL, hard
+    deadline, power loss) leaves a truncated trailing line behind, and
+    that torn tail — including one cut in the middle of a multi-byte UTF-8
+    character, which is why the read is binary — is dropped so every
+    complete record before it is still recovered.  A damaged line is one
+    ``json.loads`` rejects with a ``ValueError`` (``json.JSONDecodeError``
+    and ``UnicodeDecodeError`` both are).  Returns ``(records, torn,
+    damaged)``: ``torn`` says the final line was dropped, and ``damaged``
+    lists each damaged *interior* line as ``(line number, error)`` —
+    reported, not raised, so each caller decides whether damage is fatal.
     """
     with open(path, "rb") as handle:
         raw_lines = handle.read().split(b"\n")
@@ -81,7 +73,7 @@ def scan_lines(
         if not raw.strip():
             continue
         try:
-            records.append(parse(raw))
+            records.append(json.loads(raw))
         except ValueError as exc:
             if index == last:
                 torn = True
@@ -101,9 +93,10 @@ def read_jsonl(path: str) -> List[Dict]:
 def read_spans_jsonl(path: str) -> Tuple[List[Span], List[ObsEvent], Dict]:
     """Load a spans JSONL file; returns ``(spans, events, header)``.
 
-    Unknown record kinds (a flight journal's ``note``/``kill``) are skipped
-    so journals and future writers stay readable; torn-tail tolerance
-    follows :func:`read_jsonl`.
+    Unknown record kinds (a flight journal's ``note``/``kill``, the sampled
+    ``profile`` record older dumps carry) are skipped so journals, older
+    dumps and future writers stay readable; torn-tail tolerance follows
+    :func:`read_jsonl`.
     """
     spans: List[Span] = []
     events: List[ObsEvent] = []
@@ -126,15 +119,13 @@ def write_metrics_text(registry: MetricsRegistry, path: str) -> None:
 
 def telemetry_payload(
     recorder: Optional[SpanRecorder],
-    profile=None,
     rusage: Optional[Dict] = None,
 ) -> Optional[Dict]:
     """The worker-to-parent wire payload stored in ``JobResult.telemetry``.
 
-    ``profile`` (a :class:`~repro.obs.sampler.StackProfile`) and ``rusage``
-    (a :func:`repro.obs.rusage.delta` dict) ride along when the job sampled
-    stacks / accounted resources; the parent folds them into its own
-    recorder and registry exactly like the span tree and metric snapshot.
+    ``rusage`` (a :func:`repro.obs.rusage.delta` dict) rides along when
+    the job accounted resources; the parent folds it into its own registry
+    exactly like the span tree and metric snapshot.
     """
     if recorder is None:
         return None
@@ -142,8 +133,6 @@ def telemetry_payload(
         "spans": recorder.to_json(),
         "metrics": recorder.metrics.snapshot(),
     }
-    if profile is not None:
-        payload["profile"] = profile.to_json()
     if rusage:
         payload["rusage"] = dict(rusage)
     return payload

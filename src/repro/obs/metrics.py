@@ -44,7 +44,6 @@ METRIC_HELP: Dict[str, str] = {
     "cache.misses": "result-cache misses",
     "cache.evictions": "result-cache evictions",
     "obs.spans_dropped": "telemetry spans/events dropped at the recorder cap",
-    "obs.stack_samples": "wall-clock stack samples taken by the profiler",
     "process.peak_rss_bytes": "peak resident set size (getrusage high-water)",
     "process.user_cpu_seconds": "user-mode CPU time accumulated by jobs",
     "process.sys_cpu_seconds": "kernel-mode CPU time accumulated by jobs",

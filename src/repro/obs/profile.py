@@ -60,8 +60,7 @@ def compute_dark_time(
     latest span end; "dark" is the part of that window not covered by the
     union of the pid's *root*-span intervals — time the process spent where
     no instrumented region was open (imports, serialization, scheduler
-    glue).  Computed purely from spans, so it works with the sampler off;
-    sampled dark *frames* (when available) then say what ran there.
+    glue).  Computed purely from spans.
     """
     if tree is None:
         tree = SpanTree(spans)
@@ -176,34 +175,7 @@ def render_hottest(spans: Sequence[Span], top: int = 10,
     return "\n".join(lines)
 
 
-def render_dark_frames(profile, top: int = 10) -> str:
-    """The sampled-stack reconciliation for the report's dark-time lines.
-
-    ``profile`` is a :class:`~repro.obs.sampler.StackProfile`; its samples
-    taken while no span was open name what actually ran during dark time.
-    """
-    frames = profile.dark_frames(top)
-    if not frames:
-        return "no dark samples (every sample landed inside an open span)"
-    dark_total = sum(profile.dark.values())
-    lines = [
-        f"hottest dark frames ({dark_total} of {profile.samples} "
-        "samples outside any span):"
-    ]
-    for rank, (frame, count) in enumerate(frames, 1):
-        lines.append(f"{rank:>3}. {count:>6} samples  {frame}")
-    return "\n".join(lines)
-
-
-def profile_text(spans: Sequence[Span], top: int = 10, profile=None) -> str:
-    """The full ``dryadsynth profile`` report for a span stream.
-
-    ``profile`` (a sampled :class:`~repro.obs.sampler.StackProfile`, when
-    the dump carries one) adds the "hottest dark frames" section naming
-    what ran outside every span.
-    """
+def profile_text(spans: Sequence[Span], top: int = 10) -> str:
+    """The full ``dryadsynth profile`` report for a span stream."""
     report = build_profile(spans)
-    text = render_profile(report) + "\n\n" + render_hottest(spans, top)
-    if profile is not None and profile.samples:
-        text += "\n\n" + render_dark_frames(profile, top)
-    return text
+    return render_profile(report) + "\n\n" + render_hottest(spans, top)

@@ -267,47 +267,14 @@ class SpanRecorder:
         #: see records even past ``max_spans``: the cap protects memory, and
         #: a journaling sink is bounded on its own.
         self.sink = None
-        #: Sampled stack profile (:class:`repro.obs.sampler.StackProfile`)
-        #: merged from workers / attached by a local sampler; rides in the
-        #: span dump so ``dryadsynth flame``/``profile`` can reconcile it.
-        self.profile = None
         self._ids = itertools.count(1)
         self._tls = threading.local()
-        #: Per-thread open-span stacks, keyed by thread ident.  The same
-        #: list objects as the thread-local view — registered here so the
-        #: stack *sampler* thread can ask whether a sampled thread currently
-        #: has a span open (the dark-time classification) without touching
-        #: another thread's locals.
-        self._thread_stacks: Dict[int, List[int]] = {}
 
     def _stack(self) -> List[int]:
         stack = getattr(self._tls, "stack", None)
         if stack is None:
             stack = self._tls.stack = []
-            self._thread_stacks[threading.get_ident()] = stack
         return stack
-
-    def thread_has_open_span(self, thread_ident: int) -> bool:
-        """Whether ``thread_ident`` has at least one span open right now.
-
-        Called from the sampler thread; safe because list/dict reads are
-        atomic under the GIL and the answer only needs to be sample-accurate.
-        """
-        return bool(self._thread_stacks.get(thread_ident))
-
-    def merge_profile(self, data) -> None:
-        """Fold a serialized (or live) stack profile into this recorder."""
-        if not data:
-            return
-        from repro.obs.sampler import StackProfile
-
-        if self.profile is None:
-            self.profile = (
-                StackProfile.from_json(data) if isinstance(data, dict)
-                else data
-            )
-        else:
-            self.profile.merge(data)
 
     def _finish(self, span: Span) -> None:
         if self.sink is not None:

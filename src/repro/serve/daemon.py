@@ -66,6 +66,12 @@ HISTORY_CAP = 4096
 #: Terminal jobs surfaced in the ``/v1/stats`` ``recent`` block — the
 #: trace-id lookup surface for operators.
 RECENT_CAP = 32
+#: Leak watch: daemon RSS is sampled once per completed request into a ring
+#: of this many points; when the least-squares slope over the full ring
+#: exceeds ``LEAK_SLOPE_MB`` MiB *per request*, ``/healthz`` reports the
+#: ``rss_leak`` condition as tripped (degraded).
+LEAK_WINDOW = 16
+LEAK_SLOPE_MB = 8.0
 
 
 class ServeSettings:
@@ -83,8 +89,6 @@ class ServeSettings:
         retries: int = 1,
         telemetry: bool = False,
         max_rss_mb: Optional[float] = None,
-        leak_window: int = 16,
-        leak_slope_mb: float = 8.0,
     ) -> None:
         self.workers = max(1, workers)
         self.solver = solver
@@ -100,12 +104,6 @@ class ServeSettings:
         #: Per-worker soft RSS budget (MiB) forwarded to the pool; a worker
         #: over budget is killed and its job completes as ``oom_budget``.
         self.max_rss_mb = max_rss_mb
-        #: Leak watch: daemon RSS is sampled once per completed request into
-        #: a ring of this many points; when the least-squares slope over the
-        #: full ring exceeds ``leak_slope_mb`` MiB *per request*, ``/healthz``
-        #: reports the ``rss_leak`` condition as tripped (degraded).
-        self.leak_window = max(4, leak_window)
-        self.leak_slope_mb = leak_slope_mb
 
 
 class ServeJob:
@@ -245,7 +243,7 @@ class SynthesisDaemon:
         )
         #: Leak watch ring: ``(completed_count, daemon_rss_bytes)`` samples,
         #: one per finished request (see :meth:`_leak_slope`).
-        self._rss_samples: deque = deque(maxlen=self.settings.leak_window)
+        self._rss_samples: deque = deque(maxlen=LEAK_WINDOW)
         self._recent: deque = deque(maxlen=RECENT_CAP)
         self.scheduler: FairScheduler = FairScheduler()
         self._lock = threading.Lock()
@@ -645,7 +643,7 @@ class SynthesisDaemon:
         """
         with self._lock:
             samples = list(self._rss_samples)
-        if len(samples) < self.settings.leak_window:
+        if len(samples) < LEAK_WINDOW:
             return None
         n = len(samples)
         mean_x = sum(x for x, _ in samples) / n
@@ -687,13 +685,13 @@ class SynthesisDaemon:
             },
         }
         slope = self._leak_slope()
-        slope_limit = self.settings.leak_slope_mb * 1024 * 1024
+        slope_limit = LEAK_SLOPE_MB * 1024 * 1024
         conditions["rss_leak"] = {
             "tripped": slope is not None and slope > slope_limit,
             "slope_bytes_per_request":
                 round(slope, 1) if slope is not None else None,
             "slope_limit_bytes_per_request": slope_limit,
-            "window": self.settings.leak_window,
+            "window": LEAK_WINDOW,
         }
         reasons = []
         if conditions["dead_workers"]["tripped"]:
@@ -710,7 +708,7 @@ class SynthesisDaemon:
             reasons.append(
                 "rss leak: daemon RSS growing "
                 f"{(slope or 0.0) / (1024 * 1024):.1f}MB/request over the "
-                f"last {self.settings.leak_window} requests"
+                f"last {LEAK_WINDOW} requests"
             )
         payload = {
             "status": "ok" if not reasons else "degraded",

@@ -52,11 +52,6 @@ class SynthesisJob:
     #: result's ``telemetry`` payload (see :mod:`repro.obs`).  Off by
     #: default; does not affect the job's fingerprint.
     telemetry: bool = False
-    #: Run a wall-clock stack sampler (:mod:`repro.obs.sampler`) inside the
-    #: worker for this job's duration; the collapsed-stack profile ships
-    #: back in ``telemetry`` and merges fleet-wide.  Fingerprint-neutral,
-    #: like ``telemetry``.
-    sample: bool = False
     #: Flight-recorder journal path (see :mod:`repro.obs.flight`): the
     #: worker mirrors its recent telemetry into this crash-resistant file so
     #: the parent can recover a post-mortem if it has to kill the worker.
@@ -376,10 +371,7 @@ def _execute_recorded(job: SynthesisJob, start: float, flight) -> JobResult:
     A flight recorder forces an in-worker span recorder even when the job
     did not request shipped telemetry: the journal needs the span stream,
     but the (potentially large) payload only rides back on
-    ``JobResult.telemetry`` when ``job.telemetry`` is set.  ``job.sample``
-    likewise forces the recorded path: the stack sampler classifies samples
-    against the recorder's open spans and its profile ships in the same
-    payload.
+    ``JobResult.telemetry`` when ``job.telemetry`` is set.
 
     With a recorder installed, execution runs under a ``worker.request``
     root span carrying the distributed-trace ids the daemon injected into
@@ -391,7 +383,7 @@ def _execute_recorded(job: SynthesisJob, start: float, flight) -> JobResult:
     from repro.obs import rusage as _rusage
 
     usage_before = _rusage.snapshot()
-    if not (job.telemetry or job.sample or flight is not None):
+    if not (job.telemetry or flight is not None):
         debug = _debug_solver_result(job, start)
         result = debug if debug is not None else _execute_real_job(job, start)
         result.rusage = _rusage.delta(usage_before)
@@ -403,42 +395,21 @@ def _execute_recorded(job: SynthesisJob, start: float, flight) -> JobResult:
     with obs.recording() as recorder:
         if flight is not None:
             recorder.sink = flight
-        sampler = None
-        if job.sample:
-            from repro.obs.sampler import StackSampler
-
-            sampler = StackSampler(recorder=recorder).start()
-        try:
-            with recorder.span("worker.request", job_id=job.job_id or None,
-                               problem=job.name, solver=job.solver,
-                               **trace_attrs) as root:
-                debug = _debug_solver_result(job, start)
-                result = (debug if debug is not None
-                          else _execute_real_job(job, start))
-                root.set(job_status=result.status)
-        finally:
-            if sampler is not None:
-                sampler.stop()
+        with recorder.span("worker.request", job_id=job.job_id or None,
+                           problem=job.name, solver=job.solver,
+                           **trace_attrs) as root:
+            debug = _debug_solver_result(job, start)
+            result = (debug if debug is not None
+                      else _execute_real_job(job, start))
+            root.set(job_status=result.status)
         usage = _rusage.delta(usage_before)
         result.rusage = usage
         if usage["peak_rss_bytes"]:
             recorder.metrics.gauge("process.peak_rss_bytes").set_max(
                 float(usage["peak_rss_bytes"])
             )
-        if sampler is not None:
-            recorder.metrics.counter("obs.stack_samples").inc(
-                sampler.profile.samples
-            )
-    if job.telemetry or job.sample:
-        result.telemetry = telemetry_payload(
-            recorder,
-            profile=sampler.profile if sampler is not None else None,
-            rusage=usage,
-        )
-        if not job.telemetry:
-            # Sampling alone ships the profile and rusage, not the
-            # (potentially large) span stream the job never asked for.
-            result.telemetry.pop("spans", None)
+    if job.telemetry:
+        result.telemetry = telemetry_payload(recorder, rusage=usage)
     return result
 
 

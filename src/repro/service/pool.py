@@ -65,6 +65,10 @@ DEFAULT_LIVE_CAP = 10_000
 #: it re-checks deadlines.
 POLL_INTERVAL = 0.05
 
+#: Seconds between two polls of every busy worker's resident set (the RSS
+#: gauges and the ``max_rss_mb`` budget).
+RSS_POLL_INTERVAL = 0.25
+
 
 class PoolError(RuntimeError):
     """The pool was used after :meth:`WorkerPool.close`."""
@@ -234,7 +238,6 @@ class WorkerPool:
         live_ttl: Optional[float] = None,
         merge_telemetry: bool = True,
         max_rss_mb: Optional[float] = None,
-        rss_poll_interval: float = 0.25,
     ) -> None:
         self.size = max(1, workers if workers is not None else (os.cpu_count() or 1))
         self.max_retries = max(0, max_retries)
@@ -246,7 +249,6 @@ class WorkerPool:
         #: ``oom_budget`` (with a postmortem) — never a pool crash.  RSS
         #: gauges are published regardless; the budget only arms the kill.
         self.max_rss_mb = max_rss_mb
-        self.rss_poll_interval = max(0.05, rss_poll_interval)
         self._last_rss_poll = 0.0
         #: When set, every assignment gets a per-attempt flight-recorder
         #: journal here (see :mod:`repro.obs.flight`); journals of cleanly
@@ -567,7 +569,7 @@ class WorkerPool:
                 if self._wake_r in ready:
                     self._drain_wake_pipe()
                 now = time.monotonic()
-                if now - self._last_rss_poll >= self.rss_poll_interval:
+                if now - self._last_rss_poll >= RSS_POLL_INTERVAL:
                     self._last_rss_poll = now
                     self._poll_worker_rss(registry)
                 for worker in busy:

@@ -54,6 +54,23 @@ class TestRunBenchmark:
         assert not result.solved
         assert not result.timed_out
         assert result.solution_size is None
+        assert result.error == "RuntimeError: solver bug"
+
+    def test_pool_crash_is_recorded_like_an_in_process_crash(self):
+        from repro.bench.runner import _job_to_run_result
+        from repro.service.jobs import CRASHED, JobResult
+
+        crashed = JobResult("abs::dryadsynth", "abs", "dryadsynth", CRASHED,
+                            wall_time=0.5, error="RuntimeError: solver bug")
+        result = _job_to_run_result(find_benchmark("abs"), "dryadsynth", 20,
+                                    crashed)
+        assert not result.solved
+        assert not result.timed_out
+        assert result.error == "RuntimeError: solver bug"
+        # Past the budget, a crash counts as timed out on both paths.
+        crashed.wall_time = 25.0
+        assert _job_to_run_result(find_benchmark("abs"), "dryadsynth", 20,
+                                  crashed).timed_out
 
     def test_json_round_trip(self):
         result = RunResult("b", "CLIA", "s", True, 1.5, 7, 3, False, True)

@@ -1,12 +1,19 @@
 """Tests for the span JSONL export/import round trip and its failure modes."""
 
 import json
+import os
 
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.obs.export import read_spans_jsonl, write_spans_jsonl
 from repro.obs.spans import SpanRecorder
+
+#: A sampled batch's span dump, written before the stack sampler was
+#: removed: two spans and a trailing ``{"profile": ...}`` record.
+SAMPLED_DUMP = os.path.join(os.path.dirname(__file__), "data",
+                            "sampled.spans.jsonl")
 
 
 def _recorded(tmp_path):
@@ -28,6 +35,16 @@ class TestRoundTrip:
         assert sorted(s.name for s in spans) == ["inner", "outer"]
         assert [e.name for e in events] == ["tick"]
         assert header["format"] == "repro-spans/1"
+
+    def test_reads_and_profiles_a_dump_with_a_profile_record(self, capsys):
+        spans, events, header = read_spans_jsonl(SAMPLED_DUMP)
+        assert sorted(s.name for s in spans) == ["job", "worker.request"]
+        assert events == []
+        assert header["num_spans"] == 2
+        assert main(["profile", SAMPLED_DUMP]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("traced wall clock: 0.068s over 2 spans")
+        assert "dark time (pid 8917)" in out
 
 
 class TestTruncatedFinalLine:

@@ -1,5 +1,9 @@
 """Cross-process telemetry: deterministic merges and the pool round trip."""
 
+import multiprocessing as mp
+
+import pytest
+
 from repro import obs
 from repro.obs.spans import SpanRecorder
 from repro.service.jobs import SOLVED, SynthesisJob
@@ -15,6 +19,10 @@ MAX2_SL = """
 (constraint (or (= (f x y) x) (= (f x y) y)))
 (check-synth)
 """
+
+
+def _available_start_methods():
+    return [m for m in ("fork", "spawn") if m in mp.get_all_start_methods()]
 
 
 def _child_payload():
@@ -131,12 +139,16 @@ class TestPoolRoundTrip:
                             timeout=30, hard_timeout=120, name="max2",
                             telemetry=True)
 
-    def test_worker_telemetry_merges_into_parent(self):
+    # fork is the default where available; spawn is the only start method
+    # on platforms without fork, and this reaches it on Linux too.
+    @pytest.mark.parametrize("start_method", _available_start_methods())
+    def test_worker_telemetry_merges_into_parent(self, start_method):
         with obs.recording() as recorder:
-            with WorkerPool(workers=1) as pool:
+            with WorkerPool(workers=1, start_method=start_method) as pool:
                 result = pool.run([self._telemetry_job()])[0]
         assert result.status == SOLVED
         assert result.telemetry is not None
+        assert result.rusage is not None
         assert result.queue_wait >= 0.0
         # The worker's span tree landed under a "job" root in the parent.
         by_name = {}

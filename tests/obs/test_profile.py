@@ -117,8 +117,8 @@ class TestEndToEnd:
 
 
 class TestDarkTime:
-    """Satellite: traced wall outside any root span, per process, with no
-    sampler involved — the report names it even from a plain span dump."""
+    """Traced wall outside any root span, per process, named from a plain
+    span dump."""
 
     def test_gap_between_roots_is_dark(self):
         from repro.obs.profile import compute_dark_time
@@ -179,22 +179,3 @@ class TestDarkTime:
         text = render_profile(build_profile(spans))
         assert "dark time (pid 0): 3.000s of 10.000s window" in text
         assert "outside any root span" in text
-
-    def test_profile_text_without_sampler_has_no_frames_section(self):
-        spans = [_span(1, None, "synth", 0.0, 1.0)]
-        text = profile_text(spans)
-        assert "dark time (pid 0)" in text
-        assert "hottest dark frames" not in text
-
-    def test_profile_text_with_sampled_profile_names_dark_frames(self):
-        from repro.obs.sampler import StackProfile
-
-        spans = [_span(1, None, "synth", 0.0, 1.0)]
-        profile = StackProfile()
-        profile.record("repro/cli.py:main;repro/sygus/parser.py:parse",
-                       dark=True, count=7)
-        profile.record("repro/cli.py:main;repro/synth/cegis.py:refine",
-                       count=3)
-        text = profile_text(spans, profile=profile)
-        assert "hottest dark frames (7 of 10 samples outside any span)" in text
-        assert "repro/sygus/parser.py:parse" in text

@@ -1,16 +1,15 @@
-"""One torn-tail tolerance contract, three append-only stores.
+"""One torn-tail tolerance contract, two append-only stores.
 
-Span dumps, flight journals and the sampler's ``.collapsed`` export share
-one line scanner (:func:`repro.obs.export.scan_lines`) and its recovery
-contract: a writer killed mid-append (SIGKILL, hard deadline, power loss)
-leaves a truncated final line, possibly torn in the middle of a multi-byte
-UTF-8 character, and the reader must drop exactly that line while
-recovering every complete record before it.  A corrupt *interior* line
-means damage, not an interrupted append: span dumps and ``.collapsed``
-files raise, and the post-mortem reader counts it in ``"corrupt"`` (its
-loader below surfaces that count as the same ``ValueError``).  This test
-drives all three loaders through one parametrized harness so the contract
-cannot drift per store.
+Span dumps and flight journals share one line scanner
+(:func:`repro.obs.export.scan_lines`) and its recovery contract: a writer
+killed mid-append (SIGKILL, hard deadline, power loss) leaves a truncated
+final line, possibly torn in the middle of a multi-byte UTF-8 character,
+and the reader must drop exactly that line while recovering every complete
+record before it.  A corrupt *interior* line means damage, not an
+interrupted append: span dumps raise, and the post-mortem reader counts it
+in ``"corrupt"`` (its loader below surfaces that count as the same
+``ValueError``).  This test drives both loaders through one parametrized
+harness so the contract cannot drift per store.
 """
 
 import json
@@ -19,7 +18,6 @@ import pytest
 
 from repro.obs.export import read_spans_jsonl
 from repro.obs.flight import read_postmortem
-from repro.obs.sampler import load_collapsed
 
 
 def _event_record(index):
@@ -30,10 +28,6 @@ def _event_record(index):
         {"event": {"name": f"bench-é-{index}", "elapsed": index}},
         ensure_ascii=False,
     )
-
-
-def _collapsed_record(index):
-    return f"repro/a.py:main;repro/b.py:solvé_{index} {index + 1}"
 
 
 def _load_spans_store(path):
@@ -51,12 +45,6 @@ def _load_journal(path):
 
 STORES = [
     pytest.param("spans.jsonl", _event_record, _load_spans_store, id="spans"),
-    pytest.param(
-        "profile.collapsed",
-        _collapsed_record,
-        lambda path: load_collapsed(path).counts,
-        id="collapsed",
-    ),
     pytest.param(
         "job.flight.jsonl", _event_record, _load_journal, id="journal"
     ),
@@ -102,8 +90,6 @@ class TestTolerantReaders:
                                           make_record, load):
         path = str(tmp_path / filename)
         lines = [make_record(0), "{torn interior garbage", make_record(2)]
-        if filename.endswith(".collapsed"):
-            lines[1] = "no trailing count here"
         _write(path, lines)
         with pytest.raises(ValueError):
             load(path)

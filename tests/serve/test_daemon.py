@@ -15,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro.serve import ServeSettings, SynthesisDaemon, build_server
+from repro.serve import daemon as daemon_module
 from repro.service.cache import ResultCache
 
 
@@ -415,8 +416,9 @@ class TestMemoryAccounting:
         assert stats["memory"]["max_rss_mb"] == 512
         assert daemon.pool.max_rss_mb == 512
 
-    def test_leak_slope_none_until_ring_full(self, stack):
-        daemon, server = stack(leak_window=4)
+    def test_leak_slope_none_until_ring_full(self, stack, monkeypatch):
+        monkeypatch.setattr(daemon_module, "LEAK_WINDOW", 4)
+        daemon, server = stack()
         base = 100 * 1024 * 1024
         for request_number in range(3):
             daemon._rss_samples.append((request_number, base))
@@ -424,8 +426,9 @@ class TestMemoryAccounting:
         daemon._rss_samples.append((3, base))
         assert daemon._leak_slope() == 0.0
 
-    def test_flat_rss_does_not_trip(self, stack):
-        daemon, server = stack(leak_window=4)
+    def test_flat_rss_does_not_trip(self, stack, monkeypatch):
+        monkeypatch.setattr(daemon_module, "LEAK_WINDOW", 4)
+        daemon, server = stack()
         for request_number in range(4):
             daemon._rss_samples.append((request_number, 100 * 1024 * 1024))
         status, payload = get_json(server.url, "/healthz")
@@ -434,8 +437,10 @@ class TestMemoryAccounting:
         assert condition["tripped"] is False
         assert condition["slope_bytes_per_request"] == 0.0
 
-    def test_growing_rss_degrades_health(self, stack):
-        daemon, server = stack(leak_window=4, leak_slope_mb=8.0)
+    def test_growing_rss_degrades_health(self, stack, monkeypatch):
+        monkeypatch.setattr(daemon_module, "LEAK_WINDOW", 4)
+        monkeypatch.setattr(daemon_module, "LEAK_SLOPE_MB", 8.0)
+        daemon, server = stack()
         base = 100 * 1024 * 1024
         for request_number in range(4):
             # +16 MB per completed request: double the 8 MB/request limit.
@@ -453,10 +458,11 @@ class TestMemoryAccounting:
         _, stats = get_json(server.url, "/v1/stats")
         assert stats["memory"]["leak_slope_bytes_per_request"] > 0
 
-    def test_spike_protection_window_resets(self, stack):
+    def test_spike_protection_window_resets(self, stack, monkeypatch):
         # A deque(maxlen=window) forgets the pre-spike baseline: only the
         # last `window` requests can trip the condition.
-        daemon, server = stack(leak_window=4)
+        monkeypatch.setattr(daemon_module, "LEAK_WINDOW", 4)
+        daemon, server = stack()
         for request_number in range(8):
             rss = 100 * 1024 * 1024 + (64 * 1024 * 1024
                                        if request_number == 3 else 0)

@@ -8,10 +8,19 @@ with the deliberately-allocating ``debug-alloc`` solver stub.
 
 import os
 
+import pytest
+
 from repro import obs
 from repro.obs.flight import render_postmortem
+from repro.service import pool as pool_module
 from repro.service.jobs import OOM_BUDGET, SOLVED, UNSOLVED, SynthesisJob
 from repro.service.pool import WorkerPool
+
+
+@pytest.fixture(autouse=True)
+def fast_rss_poll(monkeypatch):
+    """Poll worker RSS every 0.1 s instead of every 0.25 s."""
+    monkeypatch.setattr(pool_module, "RSS_POLL_INTERVAL", 0.1)
 
 
 def _job(solver, **kwargs):
@@ -40,7 +49,6 @@ class TestOomBudgetKill:
                 workers=1,
                 max_retries=0,
                 max_rss_mb=budget,
-                rss_poll_interval=0.1,
                 flight_dir=flight_dir,
             ) as pool:
                 # 400 MB against a (current + 100) MB budget: the worker
@@ -74,10 +82,7 @@ class TestOomBudgetKill:
         assert counters["pool.postmortems_recovered"] == 1
 
     def test_within_budget_job_is_untouched(self):
-        with WorkerPool(
-            workers=1, max_retries=0, max_rss_mb=4096,
-            rss_poll_interval=0.1,
-        ) as pool:
+        with WorkerPool(workers=1, max_retries=0, max_rss_mb=4096) as pool:
             (result,) = pool.run([
                 _job("debug-alloc@16:0.3", name="small")
             ])
@@ -86,9 +91,7 @@ class TestOomBudgetKill:
     def test_no_budget_means_no_kill(self):
         # Gauges-only mode: polling without a budget must never terminate.
         with obs.recording() as recorder:
-            with WorkerPool(
-                workers=1, max_retries=0, rss_poll_interval=0.1
-            ) as pool:
+            with WorkerPool(workers=1, max_retries=0) as pool:
                 (result,) = pool.run([
                     _job("debug-alloc@128:0.5", name="unbudgeted")
                 ])
@@ -98,9 +101,10 @@ class TestOomBudgetKill:
 
 
 class TestRssGauges:
-    def test_worker_rss_gauges_published(self):
+    def test_worker_rss_gauges_published(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "RSS_POLL_INTERVAL", 0.05)
         with obs.recording() as recorder:
-            with WorkerPool(workers=1, rss_poll_interval=0.05) as pool:
+            with WorkerPool(workers=1) as pool:
                 pool.run([_job("debug-sleep@0.5", name="watched")])
                 stats = pool.pool_stats()
         gauges = recorder.metrics.snapshot()["gauges"]
@@ -126,7 +130,7 @@ class TestRssGauges:
         )
         with WorkerPool(
             workers=1, max_retries=0, max_rss_mb=_budget_mb(100),
-            rss_poll_interval=0.1, cache=cache,
+            cache=cache,
         ) as pool:
             (result,) = pool.run([job])
         assert result.status == OOM_BUDGET
