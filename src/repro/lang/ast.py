@@ -1,10 +1,11 @@
 """Hash-consed term AST for the CLIA language.
 
 Every term is interned: constructing the same term twice yields the *same*
-Python object, so ``==`` (identity) is constant-time and terms can key
-dictionaries and sets without deep traversals.  Construction is performed
-through :func:`Term.make`; the convenience constructors in
-:mod:`repro.lang.builders` are the intended public entry points.
+Python object, so ``==`` and ``hash`` (both by identity) are constant-time
+and terms can key dictionaries and sets without deep traversals.
+Construction is performed through :func:`Term.make`; the convenience
+constructors in :mod:`repro.lang.builders` are the intended public entry
+points.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class Kind(enum.Enum):
     IMPLIES = "=>"
     APP = "app"  # payload: function name; args are the actuals
 
+    # Members are singletons, so hashing by identity is consistent with
+    # equality, and it runs in C: every intern key hashes a kind.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Kind.{self.name}"
 
@@ -58,7 +63,7 @@ class Term:
         sort: the :class:`~repro.lang.sorts.Sort` of the term.
     """
 
-    __slots__ = ("kind", "args", "payload", "sort", "_hash", "_height", "_size")
+    __slots__ = ("kind", "args", "payload", "sort", "_height", "_size")
 
     _interned: dict = {}
 
@@ -78,16 +83,10 @@ class Term:
         term.args = args
         term.payload = payload
         term.sort = sort
-        term._hash = hash(key)
         term._height = 0
         term._size = 0
         cls._interned[key] = term
         return term
-
-    # Interning makes the default identity `__eq__`/`__hash__` structurally
-    # correct, but we pin __hash__ to the precomputed value for speed.
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def make(

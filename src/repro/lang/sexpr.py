@@ -2,14 +2,23 @@
 
 S-expressions are parsed into nested Python lists of strings; numeric
 literals stay as strings (the term parser decides how to interpret them).
-Comments start with ``;`` and run to end of line.
+Comments start with ``;`` and run to end of line.  Whitespace is exactly
+space, tab, CR and LF; a string literal runs from ``"`` to the next ``"``
+and stays one token, quotes included.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple, Union
 
 SExpr = Union[str, List["SExpr"]]
+
+# A token fills group 1 and a comment matches with an empty group.  Every
+# character but the four whitespace ones starts an alternative, so the
+# scan skips exactly the whitespace.  A string literal with no closing
+# quote matches to the end of the text, so it can only be the last token.
+_TOKEN = re.compile(r'([()]|[^ \t\r\n();"][^ \t\r\n();]*|"[^"]*"?)|;[^\n]*')
 
 
 class SExprError(Exception):
@@ -18,58 +27,46 @@ class SExprError(Exception):
 
 def tokenize(text: str) -> List[str]:
     """Split ``text`` into parenthesis and atom tokens, dropping comments."""
-    tokens: List[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise SExprError("unterminated string literal")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    tokens = list(filter(None, _TOKEN.findall(text)))
+    if tokens:
+        last = tokens[-1]
+        if last[0] == '"' and (len(last) == 1 or last[-1] != '"'):
+            raise SExprError("unterminated string literal")
     return tokens
 
 
-def _parse(tokens: List[str], pos: int) -> Tuple[SExpr, int]:
+def _read(tokens: List[str], pos: int) -> Tuple[SExpr, int]:
+    """The expression starting at ``tokens[pos]`` and the position after it."""
     if pos >= len(tokens):
         raise SExprError("unexpected end of input")
     token = tokens[pos]
-    if token == "(":
-        items: List[SExpr] = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _parse(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise SExprError("unbalanced parentheses")
-        return items, pos + 1
-    if token == ")":
-        raise SExprError("unexpected ')'")
-    return token, pos + 1
+    if token != "(":
+        if token == ")":
+            raise SExprError("unexpected ')'")
+        return token, pos + 1
+    # Each open list waits on the stack for its ")" while its items fill.
+    stack: List[List[SExpr]] = []
+    items: List[SExpr] = []
+    for pos in range(pos + 1, len(tokens)):
+        token = tokens[pos]
+        if token == "(":
+            stack.append(items)
+            items = []
+        elif token == ")":
+            if not stack:
+                return items, pos + 1
+            done = items
+            items = stack.pop()
+            items.append(done)
+        else:
+            items.append(token)
+    raise SExprError("unbalanced parentheses")
 
 
 def parse_sexpr(text: str) -> SExpr:
     """Parse a single s-expression."""
     tokens = tokenize(text)
-    expr, pos = _parse(tokens, 0)
+    expr, pos = _read(tokens, 0)
     if pos != len(tokens):
         raise SExprError(f"trailing tokens: {tokens[pos:]}")
     return expr
@@ -81,6 +78,6 @@ def parse_all_sexprs(text: str) -> List[SExpr]:
     exprs: List[SExpr] = []
     pos = 0
     while pos < len(tokens):
-        expr, pos = _parse(tokens, pos)
+        expr, pos = _read(tokens, pos)
         exprs.append(expr)
     return exprs

@@ -621,7 +621,7 @@ class SynthesisDaemon:
         registry = obs.metrics()
         slope = self._leak_slope()
         with self._lock:
-            window = len(self._rss_samples)
+            samples = len(self._rss_samples)
         return {
             "daemon_rss_bytes": rusage.process_rss_bytes(),
             "daemon_peak_rss_bytes": rusage.self_peak_rss_bytes(),
@@ -631,7 +631,8 @@ class SynthesisDaemon:
             "max_rss_mb": self.settings.max_rss_mb,
             "leak_slope_bytes_per_request":
                 round(slope, 1) if slope is not None else None,
-            "leak_window": window,
+            "leak_window": LEAK_WINDOW,
+            "leak_samples": samples,
         }
 
     def _leak_slope(self) -> Optional[float]:

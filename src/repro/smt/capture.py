@@ -248,8 +248,34 @@ def timing_percentiles(values: List[float]) -> Dict[str, float]:
     }
 
 
+#: Every assertion or assumption text parsed in this process: text →
+#: (term, the ``(name, variable)`` pairs its parse resolved through the
+#: scope).  An incremental session re-captures its whole assertion list on
+#: every solve, so most texts of a corpus recur in later entries.
+_parsed: Dict[str, Tuple[object, Tuple[Tuple[str, object], ...]]] = {}
+
+
+class _RecordingScope(dict):
+    """A copy of a scope that records each name looked up through it."""
+
+    def __init__(self, scope: Dict) -> None:
+        super().__init__(scope)
+        self.resolved: Dict = {}
+
+    def __getitem__(self, name: str):
+        value = self.resolved[name] = dict.__getitem__(self, name)
+        return value
+
+
 def _parse_query(query: Dict) -> Tuple[List, Dict]:
-    """Parse an entry's query back into Terms; returns (terms, scope)."""
+    """Parse an entry's query back into Terms; returns (terms, scope).
+
+    A text parsed before is not parsed again when every name its parse
+    resolved through the scope maps to the identical interned variable in
+    this entry's scope: the parse then builds the same terms.  Otherwise
+    the text is parsed in this scope and replaces its table entry; a text
+    that fails to parse stores nothing.
+    """
     from repro.lang.builders import var
     from repro.lang.sexpr import parse_sexpr
     from repro.lang.sorts import BOOL, INT
@@ -264,7 +290,14 @@ def _parse_query(query: Dict) -> Tuple[List, Dict]:
     ctx = _Context()
     terms = []
     for text in list(query.get("assert", ())) + list(query.get("assume", ())):
-        terms.append(ctx.parse_term(parse_sexpr(text), scope))
+        hit = _parsed.get(text)
+        if hit is not None and all(scope.get(n) is v for n, v in hit[1]):
+            terms.append(hit[0])
+            continue
+        lookups = _RecordingScope(scope)
+        term = ctx.parse_term(parse_sexpr(text), lookups)
+        _parsed[text] = (term, tuple(lookups.resolved.items()))
+        terms.append(term)
     return terms, scope
 
 

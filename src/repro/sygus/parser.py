@@ -10,7 +10,9 @@ of let-macro benchmarks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import re
+from functools import reduce
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.lang.ast import Term
 from repro.lang.builders import (
@@ -68,6 +70,34 @@ def _parse_params(sexpr: SExpr) -> Tuple[Term, ...]:
     return tuple(params)
 
 
+#: A numeral is ASCII digits with an optional minus sign; any other token,
+#: ``--5`` or ``²`` say, is looked up as a symbol.
+_NUMERAL = re.compile(r"-?[0-9]+").fullmatch
+
+
+#: The built-in operators, by name.  Each takes the parsed arguments; ``-``
+#: and ``*`` fold to the left and ``=>`` to the right.
+_OPERATORS: Dict[str, Callable[[List[Term]], Term]] = {
+    "+": lambda args: add(*args),
+    "-": lambda args: (
+        neg(args[0]) if len(args) == 1 else reduce(sub, args[1:], args[0])
+    ),
+    "*": lambda args: reduce(mul, args[1:], args[0]),
+    "ite": lambda args: ite(*args),
+    "and": lambda args: and_(*args),
+    "or": lambda args: or_(*args),
+    "not": lambda args: not_(args[0]),
+    "=>": lambda args: reduce(
+        lambda then, cond: implies(cond, then), reversed(args[:-1]), args[-1]
+    ),
+    "=": lambda args: eq(args[0], args[1]),
+    ">=": lambda args: ge(args[0], args[1]),
+    ">": lambda args: gt(args[0], args[1]),
+    "<=": lambda args: le(args[0], args[1]),
+    "<": lambda args: lt(args[0], args[1]),
+}
+
+
 class _Context:
     """Symbol tables accumulated while reading a file."""
 
@@ -111,7 +141,7 @@ class _Context:
             return bool_const(True)
         if token == "false":
             return bool_const(False)
-        if token.lstrip("-").isdigit():
+        if _NUMERAL(token):
             return int_const(int(token))
         if token in scope:
             return scope[token]
@@ -122,43 +152,9 @@ class _Context:
         raise SygusParseError(f"unknown symbol {token!r}")
 
     def _apply_operator(self, head: str, args: List[Term]) -> Term:
-        if head == "+":
-            return add(*args)
-        if head == "-":
-            if len(args) == 1:
-                return neg(args[0])
-            result = args[0]
-            for arg in args[1:]:
-                result = sub(result, arg)
-            return result
-        if head == "*":
-            result = args[0]
-            for arg in args[1:]:
-                result = mul(result, arg)
-            return result
-        if head == "ite":
-            return ite(*args)
-        if head == "and":
-            return and_(*args)
-        if head == "or":
-            return or_(*args)
-        if head == "not":
-            return not_(args[0])
-        if head == "=>":
-            result = args[-1]
-            for arg in reversed(args[:-1]):
-                result = implies(arg, result)
-            return result
-        if head == "=":
-            return eq(args[0], args[1])
-        if head == ">=":
-            return ge(args[0], args[1])
-        if head == ">":
-            return gt(args[0], args[1])
-        if head == "<=":
-            return le(args[0], args[1])
-        if head == "<":
-            return lt(args[0], args[1])
+        builtin = _OPERATORS.get(head)
+        if builtin is not None:
+            return builtin(args)
         if head in self.defined:
             return self.defined[head].instantiate(args)
         for fun in self.synth_funs:

@@ -408,7 +408,8 @@ class TestMemoryAccounting:
         assert memory["max_rss_mb"] is None
         # One completed request cannot fill the leak ring.
         assert memory["leak_slope_bytes_per_request"] is None
-        assert memory["leak_window"] <= 1
+        assert memory["leak_window"] == daemon_module.LEAK_WINDOW
+        assert memory["leak_samples"] <= 1
 
     def test_max_rss_mb_threads_through_to_pool(self, stack):
         daemon, server = stack(max_rss_mb=512)

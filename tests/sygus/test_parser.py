@@ -173,6 +173,35 @@ class TestErrors:
         with pytest.raises(SygusParseError):
             parse_sygus_text("(synth-fun f ((x Real)) Real)")
 
+    # Only ``-?[0-9]+`` is a numeral.  Each of these once reached ``int()``:
+    # ``--5`` and ``²`` escaped as a bare ValueError and ``٣`` read as 3.
+    @pytest.mark.parametrize(
+        "token",
+        ["--5", "\u00b2", "\u0663"],
+        ids=["double-minus", "superscript-two", "arabic-indic-three"],
+    )
+    def test_non_ascii_or_doubly_negated_digits_are_unknown_symbols(self, token):
+        text = f"""
+        (set-logic LIA)
+        (synth-fun f ((x Int)) Int)
+        (declare-var x Int)
+        (constraint (>= (f x) {token}))
+        """
+        with pytest.raises(SygusParseError, match="unknown symbol"):
+            parse_sygus_text(text)
+
+    def test_ascii_numerals_still_parse(self):
+        text = """
+        (set-logic LIA)
+        (synth-fun f ((x Int)) Int)
+        (declare-var x Int)
+        (constraint (>= (f x) -12))
+        (constraint (>= (f x) 007))
+        """
+        problem = parse_sygus_text(text)
+        values = {c.args[1].value for c in problem.spec.args}
+        assert values == {-12, 7}
+
 
 class TestDeclarePrimedVar:
     def test_primed_vars_declared(self):
