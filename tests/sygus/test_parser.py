@@ -173,8 +173,9 @@ class TestErrors:
         with pytest.raises(SygusParseError):
             parse_sygus_text("(synth-fun f ((x Real)) Real)")
 
-    # Only ``-?[0-9]+`` is a numeral.  Each of these once reached ``int()``:
-    # ``--5`` and ``²`` escaped as a bare ValueError and ``٣`` read as 3.
+    # Only ``-?[0-9]+`` is a numeral.  Other digit strings must reach the
+    # symbol lookup and its error, not ``int()``, which raises a bare
+    # ValueError on ``--5`` and ``²`` and reads ``٣`` as 3.
     @pytest.mark.parametrize(
         "token",
         ["--5", "\u00b2", "\u0663"],
