@@ -66,8 +66,8 @@ class RunResult:
 class _DeductionOnlySolver:
     """Algorithm 3 standalone (the Figure 15 ablation).
 
-    Deduction runs no search that a deadline could cut short, so the
-    timeout is taken only to share the solvers' constructor.
+    Every SMT check of the deduction runs under the timeout's deadline; a
+    run that reaches it ends unsolved and timed out.
     """
 
     name = "deduction"
@@ -76,13 +76,19 @@ class _DeductionOnlySolver:
         self.timeout = timeout
 
     def synthesize(self, problem) -> SynthesisOutcome:
+        from repro.smt.solver import SolverBudgetExceeded
         from repro.sygus.problem import Solution
 
         stats = SynthesisStats()
         start = time.monotonic()
-        result = Deducer(problem, stats).deduct()
+        deadline = start + self.timeout if self.timeout is not None else None
+        try:
+            result = Deducer(problem, stats, deadline).deduct()
+        except SolverBudgetExceeded:
+            return SynthesisOutcome(None, stats, timed_out=True)
         if result.solution is None:
-            return SynthesisOutcome(None, stats)
+            timed_out = deadline is not None and time.monotonic() > deadline
+            return SynthesisOutcome(None, stats, timed_out=timed_out)
         elapsed = time.monotonic() - start
         return SynthesisOutcome(
             Solution(problem, result.solution, self.name, elapsed), stats

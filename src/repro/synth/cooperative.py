@@ -172,7 +172,7 @@ class CooperativeSynthesizer:
         stats: SynthesisStats,
         deadline: Optional[float],
     ) -> None:
-        result = Deducer(node.problem, stats).deduct()
+        result = Deducer(node.problem, stats, deadline).deduct()
         if result.solution is not None:
             self._mark_solved(
                 node, result.solution, graph, ded_queue, stats, deadline

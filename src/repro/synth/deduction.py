@@ -3,9 +3,10 @@
 ``deduct`` repeatedly and exhaustively applies meaning-preserving rewrite
 rules to the specification.  If the simplified specification pins the
 synth-fun down to a reference implementation that fits the grammar (possibly
-after ``Match`` rewriting against the grammar's interpreted functions), the
-problem is solved outright; otherwise the caller receives the simplified
-specification for the enumerative engine to chew on.
+after ``Match`` rewriting against the grammar's interpreted functions) and
+verifies against the problem, the problem is solved outright; otherwise the
+caller receives the simplified specification for the enumerative engine to
+chew on.  Every SMT check runs under the ``deadline`` the caller passes.
 
 Rule inventory implemented here:
 
@@ -365,21 +366,40 @@ def _factor_common_disjuncts(clauses: List[List[Literal]]) -> List[List[Literal]
 class Deducer:
     """Implements Algorithm 3 for a given problem."""
 
-    def __init__(self, problem: SygusProblem, stats: Optional[SynthesisStats] = None):
+    def __init__(
+        self,
+        problem: SygusProblem,
+        stats: Optional[SynthesisStats] = None,
+        deadline: Optional[float] = None,
+    ):
         self.problem = problem
         self.stats = stats or SynthesisStats()
+        self.deadline = deadline
 
     # -- SMT helpers --------------------------------------------------------------
 
     def _valid(self, formula: Term) -> bool:
+        """Whether ``formula`` is valid; False when the check cannot tell
+        (a budget, the deadline, or a formula the solver rejects)."""
         from repro.smt import is_valid
 
         self.stats.smt_checks += 1
         try:
-            holds, _ = is_valid(formula)
+            holds, _ = is_valid(formula, self.deadline)
         except Exception:
             return False
         return holds
+
+    def _solves(self, body: Term) -> bool:
+        """Whether ``body`` solves the whole problem, failing as :meth:`_valid`
+        does.  It is the query the cooperative loop's acceptance check runs
+        on a deduced solution, so there it is a memo hit."""
+        self.stats.smt_checks += 1
+        try:
+            ok, _ = self.problem.verify(body, self.deadline)
+        except Exception:
+            return False
+        return ok
 
     def _equal_terms(self, left: Term, right: Term) -> bool:
         if left is right:
@@ -461,7 +481,7 @@ class Deducer:
             track=problem.track,
             name=problem.name + "!droparg",
         )
-        result = Deducer(reduced_problem, self.stats).deduct()
+        result = Deducer(reduced_problem, self.stats, self.deadline).deduct()
         if result.solution is None:
             _rule_event("remove-arg", "failed")
             return None
@@ -471,7 +491,7 @@ class Deducer:
         if not self.problem.synth_fun.grammar.generates(body):
             _rule_event("remove-arg", "failed")
             return None
-        ok, _ = self.problem.verify(body)
+        ok, _ = self.problem.verify(body, self.deadline)
         if not ok:
             _rule_event("remove-arg", "failed")
             return None
@@ -570,19 +590,20 @@ class Deducer:
         return DeductionResult()
 
     def _try_eq_rule(self, clauses: List[List[Literal]]) -> Optional[DeductionResult]:
-        """Eq + IntEq + Match: find forced ``f(y) = e`` and discharge the rest."""
-        params = self.problem.synth_fun.params
-        param_invocation_args = tuple(params)
+        """Eq + IntEq + Match: find a forced ``f(y) = e`` that solves the problem.
+
+        IntEq is checked on the problem itself, not on the clauses left
+        beside the forcing units: that residue is the spec's CNF, many times
+        the size of the spec once the body is inlined at each of its
+        applications, and a residue proof still left the other invocations'
+        units and the full problem to the caller's acceptance check."""
         ge_units: Dict[Term, Term] = {}
         le_units: Dict[Term, Term] = {}
-        other_clauses: List[List[Literal]] = []
         for clause in clauses:
             if len(clause) == 1 and isinstance(clause[0], FBound):
                 literal = clause[0]
                 store = ge_units if literal.is_ge else le_units
                 store[literal.invocation] = literal.bound
-            else:
-                other_clauses.append(clause)
         for invocation in ge_units:
             if invocation not in le_units:
                 continue
@@ -595,30 +616,17 @@ class Deducer:
             if body is None:
                 _rule_event("eq", "failed", reason="invocation-shape")
                 continue
-            # IntEq: substitute the forced implementation into the residue.
-            residue_terms = [
-                or_(*(_literal_term(lit) for lit in clause))
-                for clause in other_clauses
-            ]
-            residue = and_(*residue_terms) if residue_terms else None
-            if residue is not None:
-                inlined = self._instantiate_residue(residue, body)
-                if not self._valid(inlined):
-                    _rule_event("int-eq", "failed", reason="residue-invalid")
-                    continue
             fitted = self.fit_to_grammar(body)
-            if fitted is not None:
-                self.stats.deduction_solved = True
-                _rule_event("eq", "fired", delta=fitted.size)
-                return DeductionResult(solution=fitted)
+            if fitted is None:
+                continue
+            # IntEq: the forced implementation must solve the problem.
+            if not self._solves(fitted):
+                _rule_event("int-eq", "failed", reason="unverified")
+                continue
+            self.stats.deduction_solved = True
+            _rule_event("eq", "fired", delta=fitted.size)
+            return DeductionResult(solution=fitted)
         return None
-
-    def _instantiate_residue(self, residue: Term, body: Term) -> Term:
-        from repro.lang.traversal import substitute_apps
-
-        return substitute_apps(
-            residue, self.problem.fun_name, self.problem.synth_fun.params, body
-        )
 
     def _body_from_invocation(self, invocation: Term, bound: Term) -> Optional[Term]:
         """Turn ``f(args) = bound`` into a body over the formal parameters.

@@ -271,7 +271,7 @@ def try_loop_summary(problem: SygusProblem, deducer) -> Optional[Term]:
     fitted = deducer.fit_to_grammar(body)
     if fitted is None:
         return None
-    ok, _ = problem.verify(fitted)
+    ok, _ = problem.verify(fitted, deducer.deadline)
     if not ok:
         return None
     deducer.stats.deduction_solved = True

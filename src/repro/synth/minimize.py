@@ -12,16 +12,26 @@ attempting size-decreasing, verification-preserving rewrites:
    iff the whole solution still verifies.
 
 Every accepted rewrite re-verifies against the full specification, so the
-result is correct by construction; the budget bounds the number of SMT
-calls.
+result is correct by construction; the budget bounds the number of
+candidates checked, and so of SMT calls.
+
+The pass keeps the counterexample of every verify that fails and first
+evaluates each candidate on those points
+(:meth:`~repro.sygus.problem.SygusProblem.first_violation`).  Most
+candidates fail, and most fail on a point an earlier verify already
+returned, so a refuted candidate is skipped without an SMT call.  It still
+counts against the budget: the screen changes only which candidates need a
+proof, never which rewrites are accepted, so the answer is the one the
+unscreened pass gives.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import int_const
+from repro.lang.evaluator import Value
 from repro.lang.simplify import simplify
 from repro.lang.sorts import INT
 from repro.lang.traversal import subexpressions, substitute
@@ -61,6 +71,8 @@ def minimize_solution(
     current = simplify(body)
     checks_left = max_checks
     grammar = problem.synth_fun.grammar
+    # Counterexamples of the failed verifies, to screen later candidates.
+    refuting: List[Dict[str, Value]] = []
     improved = True
     while improved and checks_left > 0:
         improved = False
@@ -81,14 +93,17 @@ def minimize_solution(
                 if not grammar.generates(candidate):
                     continue
                 checks_left -= 1
+                if problem.first_violation(candidate, refuting) is not None:
+                    continue
                 try:
-                    ok, _ = problem.verify(candidate, deadline)
+                    ok, counterexample = problem.verify(candidate, deadline)
                 except SolverBudgetExceeded:
                     return current
                 if ok:
                     current = candidate
                     improved = True
                     break
+                refuting.append(counterexample)
             if improved:
                 break
     return current

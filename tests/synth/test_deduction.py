@@ -1,5 +1,9 @@
 """Tests for the deductive component (Figures 7-9)."""
 
+import time
+
+import pytest
+
 from repro.lang import (
     add,
     and_,
@@ -294,3 +298,123 @@ class TestNotEqRule:
             [FBound(fx, True, add(y, 5)), FBound(fx, False, y)]
         )
         assert len(merged) == 2
+
+
+def _max3_problem():
+    return _problem(
+        lambda f: and_(
+            ge(f.apply((x, y, z)), x),
+            ge(f.apply((x, y, z)), y),
+            ge(f.apply((x, y, z)), z),
+            or_(
+                eq(f.apply((x, y, z)), x),
+                eq(f.apply((x, y, z)), y),
+                eq(f.apply((x, y, z)), z),
+            ),
+        ),
+        params=(x, y, z),
+        grammar=clia_grammar((x, y, z)),
+        name="max3",
+    )
+
+
+def _count_sat_solves(monkeypatch):
+    """Record one entry per ``SatSolver.solve`` call (one DPLL(T) round)."""
+    from repro.smt.sat import SatSolver
+
+    calls = []
+    solve = SatSolver.solve
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SatSolver, "solve", counting)
+    return calls
+
+
+class TestIntEqProvesTheProblem:
+    def test_accepting_a_deduced_max3_is_a_memo_hit(self, monkeypatch):
+        """IntEq verifies the problem itself, so the cooperative loop's
+        acceptance check of the deduced answer runs no DPLL(T) round."""
+        from repro.smt.memo import default_memo
+        from repro.synth import CooperativeSynthesizer
+
+        sat_calls = _count_sat_solves(monkeypatch)
+        accepts = []
+        accept = CooperativeSynthesizer._accept
+
+        def watched(self, node, candidate, deadline):
+            rounds, hits = len(sat_calls), default_memo().hits
+            ok = accept(self, node, candidate, deadline)
+            accepts.append(
+                (ok, len(sat_calls) - rounds, default_memo().hits - hits)
+            )
+            return ok
+
+        monkeypatch.setattr(CooperativeSynthesizer, "_accept", watched)
+        outcome = CooperativeSynthesizer(60).synthesize(_max3_problem())
+        assert outcome.solved and outcome.stats.deduction_solved
+        assert accepts == [(True, 0, 1)]
+
+    def test_deduced_solution_solves_the_problem(self):
+        problem = _max3_problem()
+        result = Deducer(problem).deduct()
+        assert result.solution is not None
+        assert problem.verify(result.solution)[0]
+
+
+class TestDeadline:
+    def test_expired_deadline_runs_no_sat_search(self, monkeypatch):
+        sat_calls = _count_sat_solves(monkeypatch)
+        deducer = Deducer(_max3_problem(), deadline=time.monotonic() - 1.0)
+        result = deducer.deduct()
+        assert result.solution is None
+        assert sat_calls == []
+
+    def test_remove_arg_subproblem_inherits_the_deadline(self, monkeypatch):
+        from repro.smt.memo import reset_default_memo
+
+        sat_calls = _count_sat_solves(monkeypatch)
+        c5 = int_const(5)
+        unused = int_var("unused")
+        problem = _problem(
+            lambda f: and_(
+                ge(f.apply((x, c5, y)), x),
+                ge(f.apply((x, c5, y)), y),
+                or_(eq(f.apply((x, c5, y)), x), eq(f.apply((x, c5, y)), y)),
+            ),
+            params=(x, unused, y),
+            grammar=clia_grammar((x, unused, y)),
+        )
+        # Without a deadline, RemoveArg solves this max2 in disguise.
+        assert Deducer(problem).deduct().solution is not None
+        del sat_calls[:]
+        reset_default_memo()
+        result = Deducer(problem, deadline=time.monotonic() - 1.0).deduct()
+        assert result.solution is None
+        assert sat_calls == []
+
+    def test_loop_summary_verify_raises_past_the_deadline(self, monkeypatch):
+        from repro.smt.solver import SolverBudgetExceeded
+        from repro.sygus.problem import InvariantProblem
+        from repro.synth.loop_summary import try_loop_summary
+
+        sat_calls = _count_sat_solves(monkeypatch)
+        problem = InvariantProblem.from_updates(
+            (x,),
+            eq(x, 0),
+            (ite(lt(x, 10), add(x, 1), x),),
+            implies(not_(lt(x, 10)), eq(x, 10)),
+        ).to_sygus()
+        deducer = Deducer(problem, deadline=time.monotonic() - 1.0)
+        with pytest.raises(SolverBudgetExceeded):
+            try_loop_summary(problem, deducer)
+        assert sat_calls == []
+
+    def test_deduction_only_solver_times_out(self):
+        from repro.bench.runner import make_solver
+
+        outcome = make_solver("deduction", 0.0).synthesize(_max3_problem())
+        assert not outcome.solved
+        assert outcome.timed_out
