@@ -11,6 +11,7 @@ of let-macro benchmarks.
 from __future__ import annotations
 
 import re
+import sys
 from functools import reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -75,26 +76,42 @@ def _parse_params(sexpr: SExpr) -> Tuple[Term, ...]:
 _NUMERAL = re.compile(r"-?[0-9]+").fullmatch
 
 
-#: The built-in operators, by name.  Each takes the parsed arguments; ``-``
-#: and ``*`` fold to the left and ``=>`` to the right.
-_OPERATORS: Dict[str, Callable[[List[Term]], Term]] = {
-    "+": lambda args: add(*args),
-    "-": lambda args: (
+def _chain(relation: Callable[[Term, Term], Term]) -> Callable[[List[Term]], Term]:
+    """SMT-LIB's chainable reading: ``(< a b c)`` is ``(and (< a b) (< b c))``."""
+
+    def build(args: List[Term]) -> Term:
+        if len(args) == 2:
+            return relation(args[0], args[1])
+        return and_(*(relation(a, b) for a, b in zip(args, args[1:])))
+
+    return build
+
+
+#: No upper limit on an operator's argument count.
+_ANY = sys.maxsize
+
+#: The built-in operators, by name: ``(fewest, most, build)``, where
+#: ``build`` takes the parsed arguments.  The arities are SMT-LIB's; ``-``
+#: and ``*`` fold to the left, ``=>`` to the right, and ``=`` and the
+#: orderings chain.
+_OPERATORS: Dict[str, Tuple[int, int, Callable[[List[Term]], Term]]] = {
+    "+": (2, _ANY, lambda args: add(*args)),
+    "-": (1, _ANY, lambda args: (
         neg(args[0]) if len(args) == 1 else reduce(sub, args[1:], args[0])
-    ),
-    "*": lambda args: reduce(mul, args[1:], args[0]),
-    "ite": lambda args: ite(*args),
-    "and": lambda args: and_(*args),
-    "or": lambda args: or_(*args),
-    "not": lambda args: not_(args[0]),
-    "=>": lambda args: reduce(
+    )),
+    "*": (2, _ANY, lambda args: reduce(mul, args[1:], args[0])),
+    "ite": (3, 3, lambda args: ite(*args)),
+    "and": (2, _ANY, lambda args: and_(*args)),
+    "or": (2, _ANY, lambda args: or_(*args)),
+    "not": (1, 1, lambda args: not_(args[0])),
+    "=>": (2, _ANY, lambda args: reduce(
         lambda then, cond: implies(cond, then), reversed(args[:-1]), args[-1]
-    ),
-    "=": lambda args: eq(args[0], args[1]),
-    ">=": lambda args: ge(args[0], args[1]),
-    ">": lambda args: gt(args[0], args[1]),
-    "<=": lambda args: le(args[0], args[1]),
-    "<": lambda args: lt(args[0], args[1]),
+    )),
+    "=": (2, _ANY, _chain(eq)),
+    ">=": (2, _ANY, _chain(ge)),
+    ">": (2, _ANY, _chain(gt)),
+    "<=": (2, _ANY, _chain(le)),
+    "<": (2, _ANY, _chain(lt)),
 }
 
 
@@ -154,7 +171,14 @@ class _Context:
     def _apply_operator(self, head: str, args: List[Term]) -> Term:
         builtin = _OPERATORS.get(head)
         if builtin is not None:
-            return builtin(args)
+            fewest, most, build = builtin
+            if fewest <= len(args) <= most:
+                return build(args)
+            wanted = f"{fewest}" if most == fewest else f"at least {fewest}"
+            raise SygusParseError(
+                f"operator {head!r} takes {wanted} argument"
+                f"{'' if fewest == 1 else 's'}, got {len(args)}"
+            )
         if head in self.defined:
             return self.defined[head].instantiate(args)
         for fun in self.synth_funs:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.lang import Kind, evaluate
+from repro.lang import Kind, and_, eq, evaluate, ge, gt, int_var, le, lt
 from repro.lang.sorts import BOOL, INT
 from repro.sygus.parser import SygusParseError, parse_sygus_text
+
+X, Y = int_var("x"), int_var("y")
 
 MAX2_NO_GRAMMAR = """
 (set-logic LIA)
@@ -202,6 +204,86 @@ class TestErrors:
         problem = parse_sygus_text(text)
         values = {c.args[1].value for c in problem.spec.args}
         assert values == {-12, 7}
+
+
+def _constraint(term_text: str) -> str:
+    return f"""
+    (set-logic LIA)
+    (synth-fun f ((x Int)) Int)
+    (declare-var x Int)
+    (declare-var y Int)
+    (constraint {term_text})
+    """
+
+
+class TestOperatorArity:
+    """Every built-in operator takes SMT-LIB's number of arguments: ``=``
+    and the orderings chain, and any other count is a parse error."""
+
+    @pytest.mark.parametrize(
+        "op,build",
+        [("=", eq), ("<", lt), ("<=", le), (">", gt), (">=", ge)],
+        ids=["eq", "lt", "le", "gt", "ge"],
+    )
+    def test_comparisons_chain_over_adjacent_pairs(self, op, build):
+        problem = parse_sygus_text(_constraint(f"({op} (f x) x y 5)"))
+        fx = problem.synth_fun.apply((X,))
+        assert problem.spec is and_(build(fx, X), build(X, Y), build(Y, 5))
+
+    @pytest.mark.parametrize(
+        "op,build",
+        [("=", eq), ("<", lt), ("<=", le), (">", gt), (">=", ge)],
+        ids=["eq", "lt", "le", "gt", "ge"],
+    )
+    def test_binary_comparison_is_one_atom(self, op, build):
+        problem = parse_sygus_text(_constraint(f"({op} (f x) y)"))
+        assert problem.spec is build(problem.synth_fun.apply((X,)), Y)
+
+    def test_three_argument_equality_keeps_its_last_argument(self):
+        """``(= (f x) x 5)`` once read as ``f(x) = x``, dropping ``5``."""
+        problem = parse_sygus_text(_constraint("(= (f x) x 5)"))
+        fx = problem.synth_fun.apply((X,))
+        assert problem.spec is and_(eq(fx, X), eq(X, 5))
+        assert not problem.verify(X)[0]
+
+    @pytest.mark.parametrize(
+        "term_text,op,wanted,count",
+        [
+            ("(+ x)", "+", "at least 2 arguments", 1),
+            ("(-)", "-", "at least 1 argument", 0),
+            ("(* 2)", "*", "at least 2 arguments", 1),
+            ("(ite (>= x 0) x)", "ite", "3 arguments", 2),
+            ("(ite (>= x 0) x y 1)", "ite", "3 arguments", 4),
+            ("(and (>= x 0))", "and", "at least 2 arguments", 1),
+            ("(or (>= x 0))", "or", "at least 2 arguments", 1),
+            ("(not (>= (f x) x) (< x 0))", "not", "1 argument", 2),
+            ("(not)", "not", "1 argument", 0),
+            ("(=> (>= x 0))", "=>", "at least 2 arguments", 1),
+            ("(= (f x))", "=", "at least 2 arguments", 1),
+            ("(>= (f x))", ">=", "at least 2 arguments", 1),
+            ("(> (f x))", ">", "at least 2 arguments", 1),
+            ("(<= (f x))", "<=", "at least 2 arguments", 1),
+            ("(< (f x))", "<", "at least 2 arguments", 1),
+        ],
+    )
+    def test_wrong_argument_count_is_a_parse_error(
+        self, term_text, op, wanted, count
+    ):
+        with pytest.raises(SygusParseError) as error:
+            parse_sygus_text(_constraint(term_text))
+        assert str(error.value) == (
+            f"operator {op!r} takes {wanted}, got {count}"
+        )
+
+    def test_grammar_productions_are_checked_too(self):
+        text = """
+        (set-logic LIA)
+        (synth-fun f ((x Int)) Int ((Start Int (x 0 (ite Start Start)))))
+        (declare-var x Int)
+        (constraint (>= (f x) x))
+        """
+        with pytest.raises(SygusParseError, match="'ite' takes 3 arguments"):
+            parse_sygus_text(text)
 
 
 class TestDeclarePrimedVar:

@@ -48,6 +48,41 @@ class TestMain:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "constraint,message",
+        [
+            ("(>= (f x))", "operator '>=' takes at least 2 arguments, got 1"),
+            ("(not (>= (f x) x) (< x 0))",
+             "operator 'not' takes 1 argument, got 2"),
+        ],
+    )
+    def test_wrong_operator_arity_exits_2(
+        self, tmp_path, capsys, constraint, message
+    ):
+        path = tmp_path / "bad.sl"
+        path.write_text(
+            "(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n"
+            f"(declare-var x Int)\n(constraint {constraint})\n(check-synth)\n"
+        )
+        code = main([str(path), "--timeout", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_chained_equality_is_not_solved_by_dropping_an_argument(
+        self, tmp_path, capsys
+    ):
+        """``(= (f x) x 5)`` demands ``x = 5`` for every x: unrealizable."""
+        path = tmp_path / "chain.sl"
+        path.write_text(
+            "(set-logic LIA)\n(synth-fun f ((x Int)) Int)\n"
+            "(declare-var x Int)\n(constraint (= (f x) x 5))\n(check-synth)\n"
+        )
+        code = main([str(path), "--timeout", "10"])
+        assert code == 1
+        assert "define-fun" not in capsys.readouterr().out
+
     def test_stats_flag(self, max2_file, capsys):
         code = main([max2_file, "--timeout", "60", "--stats"])
         assert code == 0
