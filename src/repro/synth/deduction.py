@@ -391,13 +391,15 @@ class Deducer:
         return holds
 
     def _solves(self, body: Term) -> bool:
-        """Whether ``body`` solves the whole problem, failing as :meth:`_valid`
-        does.  It is the query the cooperative loop's acceptance check runs
-        on a deduced solution, so there it is a memo hit."""
+        """Whether ``body`` solves the problem; False when the check runs
+        out of budget or time, as in the cooperative loop's acceptance
+        check, which runs this same query on a deduced solution."""
+        from repro.smt.solver import SolverBudgetExceeded
+
         self.stats.smt_checks += 1
         try:
             ok, _ = self.problem.verify(body, self.deadline)
-        except Exception:
+        except SolverBudgetExceeded:
             return False
         return ok
 
@@ -592,11 +594,10 @@ class Deducer:
     def _try_eq_rule(self, clauses: List[List[Literal]]) -> Optional[DeductionResult]:
         """Eq + IntEq + Match: find a forced ``f(y) = e`` that solves the problem.
 
-        IntEq is checked on the problem itself, not on the clauses left
-        beside the forcing units: that residue is the spec's CNF, many times
-        the size of the spec once the body is inlined at each of its
-        applications, and a residue proof still left the other invocations'
-        units and the full problem to the caller's acceptance check."""
+        IntEq verifies the fitted body against the problem itself.  That is
+        the query the caller's acceptance check runs next, so there it is a
+        memo hit, and it is far smaller than the spec's CNF with the body
+        inlined at every application of f."""
         ge_units: Dict[Term, Term] = {}
         le_units: Dict[Term, Term] = {}
         for clause in clauses:

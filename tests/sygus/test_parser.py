@@ -230,15 +230,6 @@ class TestOperatorArity:
         fx = problem.synth_fun.apply((X,))
         assert problem.spec is and_(build(fx, X), build(X, Y), build(Y, 5))
 
-    @pytest.mark.parametrize(
-        "op,build",
-        [("=", eq), ("<", lt), ("<=", le), (">", gt), (">=", ge)],
-        ids=["eq", "lt", "le", "gt", "ge"],
-    )
-    def test_binary_comparison_is_one_atom(self, op, build):
-        problem = parse_sygus_text(_constraint(f"({op} (f x) y)"))
-        assert problem.spec is build(problem.synth_fun.apply((X,)), Y)
-
     def test_three_argument_equality_keeps_its_last_argument(self):
         """``(= (f x) x 5)`` once read as ``f(x) = x``, dropping ``5``."""
         problem = parse_sygus_text(_constraint("(= (f x) x 5)"))

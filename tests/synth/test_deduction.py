@@ -357,12 +357,6 @@ class TestIntEqProvesTheProblem:
         assert outcome.solved and outcome.stats.deduction_solved
         assert accepts == [(True, 0, 1)]
 
-    def test_deduced_solution_solves_the_problem(self):
-        problem = _max3_problem()
-        result = Deducer(problem).deduct()
-        assert result.solution is not None
-        assert problem.verify(result.solution)[0]
-
 
 class TestDeadline:
     def test_expired_deadline_runs_no_sat_search(self, monkeypatch):
