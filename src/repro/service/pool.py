@@ -101,8 +101,14 @@ def _worker_main(conn) -> None:
     ``None`` is the shutdown sentinel.  ``execute_job`` never raises, so the
     only ways a worker stops replying are a hard crash or a hang — both are
     the parent's responsibility.
+
+    A worker forked inside the parent's :func:`repro.obs.recording` (the
+    daemon runs under one) inherits its ambient recorder, and every job
+    without telemetry would then record spans into a copy nothing reads.
+    So the worker drops it: a job records only when it asks to.
     """
     _detach_inherited_logging()
+    obs._active = None
     while True:
         try:
             job = conn.recv()

@@ -45,14 +45,32 @@ def check_lia(
         BudgetExceeded: when the node budget runs out (should be rare; the
             budget exists to bound pathological branching).
     """
-    var_names = sorted({v for expr, _ in constraints for v, _ in expr.coeffs})
-    trivially_false = [tag for expr, tag in constraints if expr.is_constant and expr.const < 0]
-    if trivially_false:
-        return False, [trivially_false[0]]
-    real_constraints = [(expr, tag) for expr, tag in constraints if not expr.is_constant]
+    # One pass: the first constantly false constraint decides, constantly
+    # true ones drop out, and the rest give the names and the largest
+    # magnitude for the box.
+    names: Set[str] = set()
+    add_name = names.add
+    real_constraints: List[Tuple[LinExpr, object]] = []
+    biggest = 1
+    for constraint in constraints:
+        expr = constraint[0]
+        coeffs = expr.coeffs
+        const = expr.const
+        if not coeffs:
+            if const < 0:
+                return False, [constraint[1]]
+            continue
+        real_constraints.append(constraint)
+        if const > biggest or -const > biggest:
+            biggest = abs(const)
+        for name, coeff in coeffs:
+            add_name(name)
+            if coeff > biggest or -coeff > biggest:
+                biggest = abs(coeff)
     if not real_constraints:
-        return True, {name: 0 for name in var_names}
-    box = _small_model_bound(real_constraints, len(var_names))
+        return True, {}
+    var_names = sorted(names)
+    box = _small_model_bound(len(real_constraints), len(var_names), biggest)
     search = _Search(var_names, real_constraints, box, max_nodes, deadline)
     outcome = search.solve()
     if isinstance(outcome, dict):
@@ -68,20 +86,14 @@ def check_lia(
     return False, core
 
 
-def _small_model_bound(
-    constraints: Sequence[Tuple[LinExpr, object]], num_vars: int
-) -> int:
-    biggest = max(
-        [1]
-        + [abs(expr.const) for expr, _ in constraints]
-        + [abs(coeff) for expr, _ in constraints for _, coeff in expr.coeffs]
-    )
-    m = len(constraints)
-    n = max(num_vars, 1)
-    # Papadimitriou's bound; cap the exponent so the integer stays tractable
-    # while remaining astronomically above anything synthesis produces.
-    exponent = min(2 * m + 1, 40)
-    return n * (m * biggest + 1) ** exponent
+def _small_model_bound(num_constraints: int, num_vars: int, biggest: int) -> int:
+    """Papadimitriou's bound for ``num_constraints`` constraints over
+    ``num_vars`` variables whose largest absolute coefficient or constant
+    is ``biggest``."""
+    # Cap the exponent so the integer stays tractable while remaining
+    # astronomically above anything synthesis produces.
+    exponent = min(2 * num_constraints + 1, 40)
+    return num_vars * (num_constraints * biggest + 1) ** exponent
 
 
 class _Search:
@@ -103,8 +115,6 @@ class _Search:
         self._simplex = Simplex()
         # Variable ``i`` of the tableau is ``var_names[i]``.
         self._names = var_names
-        for _ in var_names:
-            self._simplex.new_var()
         self._constraints = constraints
         self._box = box
         self._nodes_left = max_nodes
@@ -167,40 +177,48 @@ class _Search:
         request ``(var, floor_value)`` (tuple) when fractional.
         """
         self._count_node()
-        simplex = self._simplex
-        assert_bound = simplex.assert_bound
-        box = self._box
-        index = {name: var for var, name in enumerate(self._names)}
-        slack_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
         try:
-            for var in index.values():
-                assert_bound(Bound(var, True, -box, None))
-                assert_bound(Bound(var, False, box, None))
-            # expr >= 0  <=>  sum(c_i x_i) >= -const.
-            for expr, tag in self._constraints:
-                coeffs = expr.coeffs
-                threshold = -expr.const
-                if len(coeffs) == 1:
-                    name, coeff = coeffs[0]
-                    if coeff > 0:
-                        # x >= ceil(threshold / coeff)
-                        bound = Bound(index[name], True, -(-threshold // coeff), tag)
-                    else:
-                        # x <= floor(threshold / coeff)
-                        bound = Bound(index[name], False, threshold // coeff, tag)
-                else:
-                    slack = slack_cache.get(coeffs)
-                    if slack is None:
-                        slack = simplex.new_slack(
-                            {index[name]: coeff for name, coeff in coeffs}
-                        )
-                        slack_cache[coeffs] = slack
-                    bound = Bound(slack, True, threshold, tag)
-                assert_bound(bound)
-            simplex.check()
+            self._build_root()
+            self._simplex.check()
         except Conflict as conflict:
             return [blame.tag for blame in conflict.bounds]
         return self._branch_or_model()
+
+    def _build_root(self) -> None:
+        """Box every variable and assert every constraint on the fresh tableau.
+
+        Variable ``i`` is ``names[i]``, and a slack per distinct
+        multi-variable form follows in order of first use.  The box is
+        written directly with the variables (``Simplex.new_boxed_vars``);
+        the constraints are then asserted in order.  Every variable is still
+        nonbasic, so each slack's row is its combination as given.
+        """
+        simplex = self._simplex
+        assert_bound = simplex.assert_bound
+        simplex.new_boxed_vars(len(self._names), self._box)
+        index = {name: var for var, name in enumerate(self._names)}
+        slack_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
+        # expr >= 0  <=>  sum(c_i x_i) >= -const.
+        for expr, tag in self._constraints:
+            coeffs = expr.coeffs
+            threshold = -expr.const
+            if len(coeffs) == 1:
+                name, coeff = coeffs[0]
+                if coeff > 0:
+                    # x >= ceil(threshold / coeff)
+                    bound = Bound(index[name], True, -(-threshold // coeff), tag)
+                else:
+                    # x <= floor(threshold / coeff)
+                    bound = Bound(index[name], False, threshold // coeff, tag)
+            else:
+                slack = slack_cache.get(coeffs)
+                if slack is None:
+                    slack = simplex.new_slack(
+                        {index[name]: coeff for name, coeff in coeffs}
+                    )
+                    slack_cache[coeffs] = slack
+                bound = Bound(slack, True, threshold, tag)
+            assert_bound(bound)
 
     def _solve_child(self, bound: Bound):
         """Push a level holding ``bound`` and solve the LP relaxation there.

@@ -16,14 +16,21 @@ from repro.lang.ast import Kind, Term
 from repro.smt.linear import LinAtom
 from repro.smt.tseitin import CnfEncoder, comparison_entry
 
-_COMPARISON_KINDS = (Kind.GE, Kind.GT, Kind.LE, Kind.LT)
+_COMPARISON_KINDS = frozenset((Kind.GE, Kind.GT, Kind.LE, Kind.LT))
+_LEAF_KINDS = _COMPARISON_KINDS | {Kind.VAR}
 
 
 class ImplicantExtractor:
-    """Evaluates a prepared formula under a SAT model and collects atoms."""
+    """Evaluates a prepared formula under a SAT model and collects atoms.
+
+    Leaves read their value off the literal the encoder gave them.  A
+    connective is evaluated from its children, never read off its own
+    Tseitin literal, so the assertion in :func:`extract_implicant` that the
+    model satisfies every formula also checks the connectives' clauses.
+    """
 
     def __init__(self, encoder: CnfEncoder, sat_model: Dict[int, bool]):
-        self._encoder = encoder
+        self._literals = encoder.literals
         self._model = sat_model
         self._truth_cache: Dict[Term, bool] = {}
         #: atom -> required truth value
@@ -31,38 +38,41 @@ class ImplicantExtractor:
 
     def truth(self, term: Term) -> bool:
         """Truth value of a subformula under the boolean model."""
-        hit = self._truth_cache.get(term)
-        if hit is not None:
-            return hit
-        result = self._truth_uncached(term)
-        self._truth_cache[term] = result
-        return result
-
-    def _truth_uncached(self, term: Term) -> bool:
         kind = term.kind
+        if kind in _LEAF_KINDS:
+            # A leaf reads the literal the encoder gave it: the atom's or
+            # Bool variable's SAT variable with the comparison's polarity, or
+            # the always-true literal (negated when false) for a comparison
+            # without variables, so the value is the leaf's own.
+            lit = self._literals[term]
+            return self._model[lit] if lit > 0 else not self._model[-lit]
+        hit = self._truth_cache.get(term)
+        if hit is None:
+            hit = self._truth_cache[term] = self._truth_uncached(term, kind)
+        return hit
+
+    def _truth_uncached(self, term: Term, kind: Kind) -> bool:
+        truth = self.truth
+        if kind is Kind.AND:
+            for arg in term.args:
+                if not truth(arg):
+                    return False
+            return True
+        if kind is Kind.OR:
+            for arg in term.args:
+                if truth(arg):
+                    return True
+            return False
+        if kind is Kind.NOT:
+            return not truth(term.args[0])
         if kind is Kind.CONST:
             return bool(term.payload)
-        if kind is Kind.VAR:
-            var = self._encoder.bool_vars[term.payload]  # type: ignore[index]
-            return self._model[var]
-        if kind in _COMPARISON_KINDS:
-            atom, positive, trivial = comparison_entry(term)
-            if atom is None:
-                return bool(trivial)
-            return self._model[self._encoder.atom_vars[atom]] == positive
-        if kind is Kind.NOT:
-            return not self.truth(term.args[0])
-        if kind is Kind.AND:
-            return all(self.truth(a) for a in term.args)
-        if kind is Kind.OR:
-            return any(self.truth(a) for a in term.args)
         if kind is Kind.IMPLIES:
-            return (not self.truth(term.args[0])) or self.truth(term.args[1])
+            return (not truth(term.args[0])) or truth(term.args[1])
         if kind is Kind.EQ:
-            return self.truth(term.args[0]) == self.truth(term.args[1])
+            return truth(term.args[0]) == truth(term.args[1])
         if kind is Kind.ITE:
-            branch = term.args[1] if self.truth(term.args[0]) else term.args[2]
-            return self.truth(branch)
+            return truth(term.args[1] if truth(term.args[0]) else term.args[2])
         raise ValueError(f"cannot evaluate kind {kind}")
 
     def collect(self, term: Term, desired: bool) -> None:

@@ -10,7 +10,7 @@ SAT abstraction sees them as one variable.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.lang.ast import Kind, Term
 
@@ -111,12 +111,14 @@ def term_to_linexpr(term: Term) -> LinExpr:
 class LinAtom:
     """Canonical linear atom ``expr >= 0`` with gcd-tightened coefficients."""
 
-    __slots__ = ("coeffs", "const", "_hash")
+    __slots__ = ("coeffs", "const", "_hash", "_exprs")
 
     def __init__(self, coeffs: Tuple[Tuple[str, int], ...], const: int):
         self.coeffs = coeffs
         self.const = const
         self._hash = hash((coeffs, const))
+        # (negated, positive) LinExprs, built by the first :meth:`linexpr`.
+        self._exprs: Optional[Tuple[LinExpr, LinExpr]] = None
 
     def negate(self) -> "LinAtom":
         """The constraint ``not (expr >= 0)``, i.e. ``-expr - 1 >= 0``.
@@ -129,6 +131,18 @@ class LinAtom:
 
     def to_linexpr(self) -> LinExpr:
         return LinExpr(dict(self.coeffs), self.const)
+
+    def linexpr(self, positive: bool) -> LinExpr:
+        """The atom as ``expr >= 0`` under a polarity.
+
+        :meth:`to_linexpr` when ``positive``, else ``negate().to_linexpr()``.
+        Both are built on first use and kept with the atom, so a DPLL(T)
+        round that sends the atom to the theory solver converts nothing.
+        """
+        exprs = self._exprs
+        if exprs is None:
+            exprs = self._exprs = (self.negate().to_linexpr(), self.to_linexpr())
+        return exprs[positive]
 
     def holds(self, env: Mapping[str, int]) -> bool:
         return self.to_linexpr().evaluate(env) >= 0

@@ -66,10 +66,11 @@ class Conflict(Exception):
 class Simplex:
     """Feasibility checker for a system of bounded linear variables.
 
-    Usage: create variables with :meth:`new_var`, define slack variables with
-    :meth:`new_slack`, assert bounds with :meth:`assert_bound`, then call
-    :meth:`check`.  Bounds asserted after :meth:`push` are retracted by the
-    matching :meth:`pop`.
+    Usage: create variables with :meth:`new_var` (or boxed ones in bulk with
+    :meth:`new_boxed_vars`), define slack variables with :meth:`new_slack`,
+    assert bounds with :meth:`assert_bound`, then call :meth:`check`.
+    Bounds asserted after :meth:`push` are retracted by the matching
+    :meth:`pop`.
     """
 
     def __init__(self) -> None:
@@ -100,6 +101,25 @@ class Simplex:
         self._num.append(0)
         self._den.append(1)
         return index
+
+    def new_boxed_vars(self, count: int, box: int) -> None:
+        """``count`` fresh nonbasic variables at 0, each within ``[-box, box]``.
+
+        The state of ``new_var`` followed by ``assert_bound`` of
+        ``Bound(var, True, -box, None)`` and ``Bound(var, False, box, None)``
+        for each variable in turn (``box >= 0``, no level open), written
+        directly: a fresh variable at 0 has nothing to move or to conflict
+        with.
+        """
+        start = len(self._num)
+        variables = range(start, start + count)
+        self._is_basic.extend([False] * count)
+        self._lower.extend([Bound(var, True, -box, None) for var in variables])
+        self._upper.extend([Bound(var, False, box, None) for var in variables])
+        self._lower_val.extend([-box] * count)
+        self._upper_val.extend([box] * count)
+        self._num.extend([0] * count)
+        self._den.extend([1] * count)
 
     def new_slack(self, combo: Dict[int, int]) -> int:
         """A fresh basic variable defined as ``sum(coeff * var)``."""

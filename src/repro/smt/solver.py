@@ -106,6 +106,10 @@ class SmtSolver:
         # are CNF-encoded into ``_encoder``.
         self._assertions: List[Term] = []
         self._encoded = 0
+        # Every free variable of the first ``_scanned`` encoded assertions ->
+        # its default model value, in the order the assertions name them.
+        self._free_vars: Dict[str, Value] = {}
+        self._scanned = 0
         self._trivially_false = False
         if memo is SmtSolver.USE_DEFAULT_MEMO:
             memo = _memo.default_memo()
@@ -342,12 +346,12 @@ class SmtSolver:
             # Only the atoms of a satisfying implicant go to the theory
             # solver; conflicts then yield small, reusable lemmas.
             needed = extract_implicant(encoder, sat_model, prepared_assumptions)
-            constraints = []
-            for atom, positive in needed.items():
-                var = encoder.atom_vars[atom]
-                expr = atom.to_linexpr() if positive else atom.negate().to_linexpr()
-                lit = var if positive else -var
-                constraints.append((expr, lit))
+            atom_vars = encoder.atom_vars
+            constraints = [
+                (atom.linexpr(positive),
+                 atom_vars[atom] if positive else -atom_vars[atom])
+                for atom, positive in needed.items()
+            ]
             try:
                 feasible, payload = check_lia(
                     constraints, self.lia_node_budget, self.deadline
@@ -355,9 +359,7 @@ class SmtSolver:
             except BudgetExceeded as exc:
                 raise SolverBudgetExceeded(str(exc)) from exc
             if feasible:
-                model = self._build_model(
-                    payload, encoder, sat_model, prepared_assumptions
-                )
+                model = self._build_model(payload, sat_model, prepared_assumptions)
                 return Result(Status.SAT, model, rounds)
             self.stats.theory_conflicts += 1
             core = payload
@@ -405,19 +407,35 @@ class SmtSolver:
     def _build_model(
         self,
         int_model: Dict[str, int],
-        encoder: CnfEncoder,
         sat_model: Dict[int, bool],
         extra: Sequence[Term] = (),
     ) -> Dict[str, Value]:
+        """The theory model, the Bool variables' SAT values, and a default
+        for every other free variable of the assertions and ``extra``.
+
+        The assertions' free variables come from the solver's table, which
+        walks each assertion once: the first model after it is encoded.
+        """
+        encoder = self._encoder
         model: Dict[str, Value] = dict(int_model)
         for name, var in encoder.bool_vars.items():
             model[name] = sat_model[var]
-        for formula in list(encoder.asserted) + list(extra):
-            for var_term in free_vars(formula):
-                name = var_term.payload
-                if name not in model:
-                    model[name] = False if var_term.sort is BOOL else 0
+        free = self._free_vars
+        while self._scanned < len(encoder.asserted):
+            _add_defaults(free, encoder.asserted[self._scanned])
+            self._scanned += 1
+        for name, default in free.items():
+            model.setdefault(name, default)
+        for formula in extra:
+            _add_defaults(model, formula)
         return model
+
+
+def _add_defaults(model: Dict[str, Value], formula: Term) -> None:
+    """Give each free variable of ``formula`` that ``model`` lacks its
+    default value: ``False`` for a Bool, ``0`` for an Int."""
+    for var_term in free_vars(formula):
+        model.setdefault(var_term.payload, False if var_term.sort is BOOL else 0)
 
 
 def check_sat(

@@ -87,7 +87,11 @@ class CnfEncoder:
         self.sat = sat or SatSolver()
         self.atom_vars: Dict[LinAtom, int] = {}
         self.bool_vars: Dict[str, int] = {}
-        self._term_lits: Dict[Term, int] = {}
+        #: Every term encoded so far -> its SAT literal.  A comparison's is
+        #: its atom's variable with the comparison's polarity (the true
+        #: literal, or its negation, when it has no variables); a Bool
+        #: variable's is its variable.
+        self.literals: Dict[Term, int] = {}
         self._true_lit: Optional[int] = None
         self.asserted: list[Term] = []
 
@@ -125,11 +129,11 @@ class CnfEncoder:
 
     def encode(self, term: Term) -> int:
         """Returns a SAT literal equivalent to the (normalised) formula."""
-        hit = self._term_lits.get(term)
+        hit = self.literals.get(term)
         if hit is not None:
             return hit
         lit = self._encode_uncached(term)
-        self._term_lits[term] = lit
+        self.literals[term] = lit
         return lit
 
     def _encode_uncached(self, term: Term) -> int:

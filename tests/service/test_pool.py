@@ -25,6 +25,8 @@ from repro.service.jobs import (
     UNSOLVED,
     SynthesisJob,
 )
+from repro import obs
+from repro.service import pool as pool_module
 from repro.service.pool import PoolError, WorkerPool, _detach_inherited_logging
 
 MAX2_SL = """
@@ -406,6 +408,32 @@ class TestForkSafety:
         finally:
             for logger, handlers in saved.items():
                 logger.handlers[:] = handlers
+
+
+    def test_worker_drops_the_parents_recorder(self, monkeypatch):
+        # A worker forked inside the parent's recording (as the daemon's
+        # are) must not record a job that asked for no telemetry into the
+        # recorder it inherited; a job that asks still ships its spans.
+        execute_job = pool_module.execute_job
+
+        def probe(job):
+            recording = obs.active() is not None
+            result = execute_job(job)
+            result.stats["recorder_at_start"] = recording
+            return result
+
+        monkeypatch.setattr(pool_module, "execute_job", probe)
+        with obs.recording():
+            with WorkerPool(workers=1, start_method="fork") as pool:
+                plain, traced = pool.run([
+                    _job("debug-solve", name="plain"),
+                    _job("debug-solve", name="traced", telemetry=True),
+                ])
+        assert plain.status == traced.status == SOLVED
+        assert plain.stats["recorder_at_start"] is False
+        assert plain.telemetry is None
+        spans = traced.telemetry["spans"]["spans"]
+        assert any(span["name"] == "worker.request" for span in spans)
 
 
 def _pid_alive(pid: int) -> bool:

@@ -111,6 +111,20 @@ def test_canonicalisation_preserves_semantics(coeffs, const, env):
     assert original == canonical
 
 
+@given(
+    st.dictionaries(st.sampled_from("xyz"), st.integers(-9, 9), min_size=1),
+    st.integers(-20, 20),
+)
+@settings(max_examples=200, deadline=None)
+def test_atom_expressions_are_its_conversions(coeffs, const):
+    atom, _ = canonical_atom(LinExpr(coeffs, const))
+    assert atom.linexpr(True) == atom.to_linexpr()
+    assert atom.linexpr(False) == atom.negate().to_linexpr()
+    # Built once and kept: later calls return the same objects.
+    assert atom.linexpr(True) is atom.linexpr(True)
+    assert atom.linexpr(False) is atom.linexpr(False)
+
+
 def test_max_abs_coefficient():
     exprs = [LinExpr({"x": -7}, 3), LinExpr({"y": 2}, -11)]
     assert max_abs_coefficient(exprs) == 11

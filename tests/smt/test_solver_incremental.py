@@ -23,6 +23,7 @@ from repro.lang import (
     not_,
     or_,
 )
+from repro.lang.traversal import free_vars
 from repro.smt import SmtSolver, Status
 
 x, y = int_var("x"), int_var("y")
@@ -117,6 +118,41 @@ class TestSolveUnderAssumptions:
         second = solver.solve(assumptions=[le(x, 1), le(y, 2)])
         assert second.is_unsat
         assert solver.stats.lemmas >= lemmas_before
+
+
+class TestModelsStayComplete:
+    """Each model names every free variable of every assertion, also one
+    added after an earlier solve and not needed by the implicant."""
+
+    def _assert_complete(self, solver, assertions, result):
+        assert result.is_sat
+        names = {var.payload for f in assertions for var in free_vars(f)}
+        assert names <= set(result.model)
+        assert all(evaluate(f, result.model) for f in assertions)
+
+    def test_variable_only_a_later_assertion_names(self):
+        solver = SmtSolver(memo=None)
+        assertions = [ge(x, 0)]
+        solver.add(assertions[0])
+        self._assert_complete(solver, assertions, solver.solve())
+        # The implicant picks the first true disjunct, so y reaches the model
+        # only through the free variables of the added assertion.
+        assertions.append(or_(ge(x, 0), ge(y, 5)))
+        solver.add(assertions[1])
+        self._assert_complete(solver, assertions, solver.solve())
+
+    def test_bool_variable_added_between_solves(self):
+        solver = SmtSolver(memo=None)
+        assertions = [ge(x, 3)]
+        solver.add(assertions[0])
+        self._assert_complete(solver, assertions, solver.solve())
+        assertions += [or_(ge(x, 3), p), implies(q, ge(y, 1))]
+        for formula in assertions[1:]:
+            solver.add(formula)
+        result = solver.solve(assumptions=[not_(q)])
+        self._assert_complete(solver, assertions, result)
+        assert result.model["q"] is False
+        self._assert_complete(solver, assertions, solver.solve())
 
 
 class TestMinimizeCoreDeadlineRegression:

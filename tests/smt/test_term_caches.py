@@ -139,3 +139,20 @@ def test_a_nonlinear_assertion_raises_on_every_fresh_solver():
         with pytest.raises(LinearityError):
             solver.solve()
     assert prepare_formula(simplify(nonlinear)) not in tseitin._comparison_entries
+
+
+def test_every_solved_atom_keeps_its_conversions():
+    """After replaying the corpus files, each canonical atom in the process
+    table carries the expressions its conversions build."""
+    for name in FILES:
+        path = os.path.join(CORPUS, f"{name}.smtq.jsonl")
+        _, entries = capture.read_corpus_file(path)
+        report = capture.ReplayReport()
+        for lineno, entry in entries:
+            capture.replay_entry(path, lineno, entry, report, memo=None)
+        assert report.divergences == []
+    atoms = {atom for atom, _, _ in tseitin._comparison_entries.values() if atom}
+    assert atoms
+    for atom in atoms:
+        assert atom.linexpr(True) == atom.to_linexpr()
+        assert atom.linexpr(False) == atom.negate().to_linexpr()
