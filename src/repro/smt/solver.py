@@ -108,7 +108,7 @@ class SmtSolver:
         self._encoded = 0
         # Every free variable of the first ``_scanned`` encoded assertions ->
         # its default model value, in the order the assertions name them.
-        self._free_vars: Dict[str, Value] = {}
+        self._var_defaults: Dict[str, Value] = {}
         self._scanned = 0
         self._trivially_false = False
         if memo is SmtSolver.USE_DEFAULT_MEMO:
@@ -420,7 +420,7 @@ class SmtSolver:
         model: Dict[str, Value] = dict(int_model)
         for name, var in encoder.bool_vars.items():
             model[name] = sat_model[var]
-        free = self._free_vars
+        free = self._var_defaults
         while self._scanned < len(encoder.asserted):
             _add_defaults(free, encoder.asserted[self._scanned])
             self._scanned += 1
