@@ -6,9 +6,9 @@ Two flavours:
 1. *separable* constraints — each constraint mentions one function, so the
    problem decomposes into independent cooperative-synthesis runs;
 2. *coupled* constraints — the functions appear together in one constraint
-   (here: f and g must partition x+y into max and min), so a joint
-   fixed-height CEGIS encodes all unknowns in a single SMT query per
-   iteration.
+   (here: f and g must partition x+y into max and min), so the fixed-height
+   search (Algorithm 2) runs on the whole problem: one encoder per
+   function, and all unknowns in a single SMT query per iteration.
 
 Run:  python examples/multi_function.py
 """

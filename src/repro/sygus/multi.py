@@ -3,19 +3,23 @@
 The paper (Section 2.1, Remark) notes the SyGuS definition "can be easily
 extended to synthesize multiple functions"; this module is that extension: a
 specification over several uninterpreted functions, with helpers to split it
-into independent single-function problems when the constraints allow, and to
-project out the joint verification query otherwise.
+into independent single-function problems when the constraints allow, and
+otherwise the interface the fixed-height CEGIS loop needs to search all the
+functions jointly: ``synth_funs``, ``candidate``, ``first_violation`` and
+``verify``, as :class:`~repro.sygus.problem.SygusProblem` has them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.lang.ast import Kind, Term
 from repro.lang.builders import and_, bool_const
+from repro.lang.evaluator import Value, evaluate
 from repro.lang.printer import define_fun_sexpr
 from repro.lang.traversal import contains_app, substitute_apps
+from repro.sygus.grammar import expand_interpreted
 from repro.sygus.problem import SygusProblem, SynthFun
 
 
@@ -48,18 +52,31 @@ class MultiSygusProblem:
             result = substitute_apps(result, fun.name, fun.params, body)
         return result
 
-    def inline_interpreted(self, fun: SynthFun, body: Term) -> Term:
-        result = body
-        for _ in range(64):
-            changed = False
-            for name, func in fun.grammar.interpreted.items():
-                expanded = substitute_apps(result, name, func.params, func.body)
-                if expanded is not result:
-                    result = expanded
-                    changed = True
-            if not changed:
-                return result
-        raise ValueError("interpreted expansion did not converge")
+    def candidate(self, bodies: Sequence[Term]) -> Dict[str, Term]:
+        """The CEGIS candidate made of one body per synth-fun, by name."""
+        return dict(zip(self.fun_names, bodies))
+
+    def _inlined(self, bodies: Mapping[str, Term]) -> Dict[str, Term]:
+        """Each body with its grammar's interpreted functions expanded."""
+        return {
+            fun.name: expand_interpreted(bodies[fun.name], fun.grammar.interpreted)
+            for fun in self.synth_funs
+        }
+
+    def first_violation(
+        self, bodies: Mapping[str, Term], examples: Sequence[Mapping[str, Value]]
+    ) -> Optional[Mapping[str, Value]]:
+        """The first example on which ``bodies`` violate the spec, or None.
+
+        The CEGIS loop's screen for joint candidates: the tree-walking
+        evaluator runs the spec with each body as its function's definition.
+        """
+        inlined = self._inlined(bodies)
+        funcs = {fun.name: (fun.params, inlined[fun.name]) for fun in self.synth_funs}
+        for env in examples:
+            if not evaluate(self.spec, env, funcs):
+                return env
+        return None
 
     def verify(
         self, bodies: Mapping[str, Term], deadline: Optional[float] = None
@@ -67,11 +84,7 @@ class MultiSygusProblem:
         """Joint validity check of all candidates against the spec."""
         from repro.smt import is_valid
 
-        inlined = {
-            fun.name: self.inline_interpreted(fun, bodies[fun.name])
-            for fun in self.synth_funs
-        }
-        formula = self.instantiate(inlined)
+        formula = self.instantiate(self._inlined(bodies))
         valid, counterexample = is_valid(formula, deadline)
         if valid:
             return True, None

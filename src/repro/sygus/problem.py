@@ -15,7 +15,7 @@ from repro.lang.traversal import (
     free_vars,
     substitute_apps,
 )
-from repro.sygus.grammar import Grammar, clia_grammar
+from repro.sygus.grammar import Grammar, clia_grammar, expand_interpreted
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,16 @@ class SygusProblem:
     def fun_name(self) -> str:
         return self.synth_fun.name
 
+    @property
+    def synth_funs(self) -> Tuple[SynthFun, ...]:
+        """The functions to synthesize: the one synth-fun."""
+        return (self.synth_fun,)
+
+    def candidate(self, bodies: Sequence[Term]) -> Term:
+        """The CEGIS candidate made of one body per synth-fun: the body."""
+        (body,) = bodies
+        return body
+
     def invocations(self) -> List[Term]:
         """Distinct applications of the synth-fun in the spec."""
         return app_occurrences(self.spec, self.fun_name)
@@ -84,20 +94,6 @@ class SygusProblem:
             name: (func.params, func.body)
             for name, func in self.synth_fun.grammar.interpreted.items()
         }
-
-    def inline_interpreted(self, body: Term) -> Term:
-        """Expand the grammar's interpreted functions inside ``body``."""
-        result = body
-        for _ in range(64):
-            changed = False
-            for name, func in self.synth_fun.grammar.interpreted.items():
-                expanded = substitute_apps(result, name, func.params, func.body)
-                if expanded is not result:
-                    result = expanded
-                    changed = True
-            if not changed:
-                return result
-        raise ValueError("interpreted function expansion did not converge")
 
     def _compiled_spec(self):
         """The spec compiled with the synth-fun open (cached per instance)."""
@@ -177,7 +173,7 @@ class SygusProblem:
         """
         from repro.smt import is_valid
 
-        inlined = self.inline_interpreted(body)
+        inlined = expand_interpreted(body, self.synth_fun.grammar.interpreted)
         formula = self.instantiate(inlined)
         valid, counterexample = is_valid(formula, deadline)
         if valid:

@@ -14,7 +14,10 @@ grammars such as ``G_qm``) implement a common duck-typed interface:
   choosing a production of the user grammar; node values on a concrete input
   are defined by guarded equations, again QF_LIA.
 
-The interface:
+Each encoder is built from one ``SynthFun``, a height and a variable-name
+prefix; :func:`~repro.synth.fixed_height.make_encoder` picks the encoder
+for a synth-fun's grammar, and a fixed-height session builds one per
+synth-fun of its problem, each under its own prefix.  The interface:
 
 ``static_constraints(c, d)`` -> Term bounding/structuring the unknowns,
                                 coefficients by ``c`` and constants by ``d``

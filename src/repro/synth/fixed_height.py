@@ -12,7 +12,7 @@ paper's ablation study (Figure 14).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro import obs
 from repro.lang.ast import Kind, Term
@@ -20,7 +20,8 @@ from repro.lang.builders import and_, bool_var, implies, int_const
 from repro.lang.evaluator import EvaluationError, evaluate
 from repro.lang.traversal import rewrite_bottom_up
 from repro.smt.solver import SmtSolver, SolverBudgetExceeded, Status
-from repro.sygus.problem import Solution, SygusProblem
+from repro.sygus.multi import MultiSygusProblem
+from repro.sygus.problem import Solution, SygusProblem, SynthFun
 from repro.synth.cegis import CegisLoop, CegisTimeout, Example, check_deadline
 from repro.synth.encoding import (
     CliaTreeEncoder,
@@ -36,13 +37,16 @@ MAX_HEIGHT = 4
 #: Bound on the decision-tree coefficients ``c_i``.
 COEFF_BOUND = 2
 
+#: A problem the session searches: one synth-fun, or several jointly.
+Problem = Union[SygusProblem, MultiSygusProblem]
+
 #: Widening schedule for the constant terms ``d_i``: constants are searched
 #: in widening rounds, the way the paper's implementation bounds them.
 CONST_BOUNDS = (1, 10, 100)
 
 
-def make_encoder(problem: SygusProblem, height: int, prefix: str = "fh"):
-    """Choose the most structured encoding the grammar admits.
+def make_encoder(synth_fun: SynthFun, height: int, prefix: str = "fh"):
+    """Choose the most structured encoding ``synth_fun``'s grammar admits.
 
     CLIA grammars get the decision-tree normal form (Figure 5); affine
     operator grammars like ``G_qm`` get the paper's adapted ``interpret_h``
@@ -51,29 +55,29 @@ def make_encoder(problem: SygusProblem, height: int, prefix: str = "fh"):
     """
     from repro.synth.affine_encoding import AffineSpineEncoder, affine_operator_view
 
-    if grammar_is_full_clia(problem.synth_fun.grammar):
-        return CliaTreeEncoder(problem.synth_fun, height, prefix)
+    if grammar_is_full_clia(synth_fun.grammar):
+        return CliaTreeEncoder(synth_fun, height, prefix)
     if (
-        problem.synth_fun.return_sort.name == "Int"
-        and affine_operator_view(problem.synth_fun.grammar) is not None
+        synth_fun.return_sort.name == "Int"
+        and affine_operator_view(synth_fun.grammar) is not None
     ):
-        return AffineSpineEncoder(problem.synth_fun, height, prefix)
-    return GeneralGrammarEncoder(problem.synth_fun, height, prefix)
+        return AffineSpineEncoder(synth_fun, height, prefix)
+    return GeneralGrammarEncoder(synth_fun, height, prefix)
 
 
 def inductive_query(
-    problem: SygusProblem,
-    encoder,
+    problem: Problem,
+    encoders: Mapping[str, object],
     examples: Sequence[Example],
 ) -> Term:
     """The symbolic constraint “candidate satisfies the spec on every example”.
 
     For each example the spec's variables are fixed to concrete values and
-    every invocation of the synth-fun is replaced by the encoder's symbolic
+    every invocation of a synth-fun is replaced by its encoder's symbolic
     interpretation on the (now concrete) argument vector — the
-    ``interpret_h`` substitution of Section 5.2.
+    ``interpret_h`` substitution of Section 5.2.  ``encoders`` maps each
+    synth-fun's name to its encoder.
     """
-    fun_name = problem.fun_name
     parts: List[Term] = []
     for env in examples:
         side_constraints: List[Term] = []
@@ -86,7 +90,7 @@ def inductive_query(
                 from repro.lang.builders import bool_const
 
                 return bool_const(bool(value))
-            if t.kind is Kind.APP and t.payload == fun_name:
+            if t.kind is Kind.APP and t.payload in encoders:
                 arg_values = []
                 for arg in t.args:
                     try:
@@ -96,7 +100,7 @@ def inductive_query(
                             "nested synth-fun invocations are not supported by "
                             "the symbolic encoding"
                         ) from exc
-                value, side = encoder.app_instance(arg_values)
+                value, side = encoders[t.payload].app_instance(arg_values)
                 if side.kind is not Kind.CONST or not side.payload:
                     side_constraints.append(side)
                 return value
@@ -108,7 +112,7 @@ def inductive_query(
     return and_(*parts)
 
 
-def _seeded_bounds(problem: SygusProblem, schedule) -> tuple:
+def _seeded_bounds(problem: Problem, schedule) -> tuple:
     """Drop widening rounds that cannot cover the spec's own constants.
 
     If the specification mentions the constant 100, a candidate with
@@ -133,29 +137,39 @@ class FixedHeightSession(CegisLoop):
     """A resumable Algorithm-2 run at one (problem, height).
 
     The session is the shared :class:`~repro.synth.cegis.CegisLoop` with a
-    symbolic inductive step.  It owns the symbolic encoder and **one**
-    incremental SMT solver; constant-bound widening is done by solving under
-    an assumption literal that activates the current bound's range
-    constraints, so clause learning, atom canonicalisation and theory lemmas
-    are shared across every bound and every CEGIS iteration.  Each iteration
-    only asserts the newest counterexample, and solver state also persists
-    across *preempted time slices* (the cooperative loop parks a session
-    when its slice expires and resumes it later).  When a query is unsat
-    without the bound guard in the unsat assumption core, no wider bound can
-    help and the widening loop stops early.
+    symbolic inductive step.  It owns one symbolic encoder per synth-fun of
+    the problem — a :class:`~repro.sygus.multi.MultiSygusProblem` searches
+    all its functions' unknowns jointly — and **one** incremental SMT
+    solver; constant-bound widening is done by solving under an assumption
+    literal that activates the current bound's range constraints, so clause
+    learning, atom canonicalisation and theory lemmas are shared across
+    every bound and every CEGIS iteration.  Each iteration only asserts the
+    newest counterexample, and solver state also persists across *preempted
+    time slices* (the cooperative loop parks a session when its slice
+    expires and resumes it later).  When a query is unsat without the bound
+    guard in the unsat assumption core, no wider bound can help and the
+    widening loop stops early.
     """
 
     def __init__(
         self,
-        problem: SygusProblem,
+        problem: Problem,
         height: int,
         stats: Optional[SynthesisStats] = None,
         prefix: Optional[str] = None,
     ) -> None:
         self.height = height
         self.prefix = prefix or f"fh{height}"
-        self.encoder = make_encoder(problem, height, self.prefix)
-        if self.encoder.has_const_unknowns:
+        funs = problem.synth_funs
+        self.encoders = {
+            fun.name: make_encoder(
+                fun,
+                height,
+                self.prefix if len(funs) == 1 else f"{self.prefix}!{index}",
+            )
+            for index, fun in enumerate(funs)
+        }
+        if any(e.has_const_unknowns for e in self.encoders.values()):
             self.bounds = _seeded_bounds(problem, CONST_BOUNDS)
         else:
             self.bounds = CONST_BOUNDS[:1]
@@ -169,7 +183,9 @@ class FixedHeightSession(CegisLoop):
         self._deleted_seen = 0
         super().__init__(
             problem,
-            candidate=self.encoder.initial_candidate(),
+            candidate=problem.candidate(
+                [e.initial_candidate() for e in self.encoders.values()]
+            ),
             stats=stats,
             attrs={"height": height},
         )
@@ -182,9 +198,9 @@ class FixedHeightSession(CegisLoop):
     def _bound_guard(self, solver: SmtSolver, const_bound: int) -> Term:
         """The assumption literal activating ``const_bound``'s constraints.
 
-        The implication ``guard -> static_constraints(bound)`` is asserted
-        permanently on first use; while the guard is not assumed, it is a
-        free variable and the constraints are vacuous.
+        The implication ``guard -> static_constraints(bound)`` (every
+        encoder's) is asserted permanently on first use; while the guard is
+        not assumed, it is a free variable and the constraints are vacuous.
         """
         guard = self._bound_guards.get(const_bound)
         if guard is None:
@@ -192,7 +208,12 @@ class FixedHeightSession(CegisLoop):
             solver.add(
                 implies(
                     guard,
-                    self.encoder.static_constraints(COEFF_BOUND, const_bound),
+                    and_(
+                        *(
+                            e.static_constraints(COEFF_BOUND, const_bound)
+                            for e in self.encoders.values()
+                        )
+                    ),
                 )
             )
             self._bound_guards[const_bound] = guard
@@ -206,8 +227,9 @@ class FixedHeightSession(CegisLoop):
         if solver is None:
             solver = self._solver = SmtSolver()
         solver.deadline = deadline
+        problem = self.problem
         for example in examples[self._asserted_examples :]:
-            solver.add(inductive_query(self.problem, self.encoder, [example]))
+            solver.add(inductive_query(problem, self.encoders, [example]))
         self._asserted_examples = len(examples)
         stats = self.stats
         rounds_before = solver.stats.rounds
@@ -219,15 +241,20 @@ class FixedHeightSession(CegisLoop):
                 stats.smt_checks += 1
                 with obs.span(
                     "widen",
-                    problem=self.problem.name,
+                    problem=problem.name,
                     height=self.height,
                     const_bound=const_bound,
                 ):
                     result = solver.solve(assumptions=[guard])
                 if result.status is Status.SAT:
                     assert result.model is not None
-                    return self.encoder.decode(
-                        result.model, self.problem.synth_fun.params
+                    return problem.candidate(
+                        [
+                            self.encoders[fun.name].decode(
+                                result.model, fun.params
+                            )
+                            for fun in problem.synth_funs
+                        ]
                     )
                 if guard not in result.unsat_core:
                     # The examples are inconsistent with the encoding no
@@ -249,7 +276,7 @@ class FixedHeightSession(CegisLoop):
 
 
 def fixed_height(
-    problem: SygusProblem,
+    problem: Problem,
     height: int,
     examples: Optional[List[Example]] = None,
     deadline: Optional[float] = None,
@@ -260,9 +287,11 @@ def fixed_height(
     """Algorithm 2: CEGIS with symbolic fixed-height inductive synthesis.
 
     Returns a candidate body of height <= ``height`` satisfying the spec, or
-    None if none exists (within the coefficient and constant bounds).  Pass a
-    ``session_store`` dict to make preempted runs resumable (the cooperative
-    loop does this per subproblem node).
+    None if none exists (within the coefficient and constant bounds); for a
+    :class:`~repro.sygus.multi.MultiSygusProblem` the candidate is a dict of
+    bodies by function name.  Pass a ``session_store`` dict to make
+    preempted runs resumable (the cooperative loop does this per subproblem
+    node).
 
     Raises:
         CegisTimeout: when the deadline expires.

@@ -5,9 +5,11 @@ Strategy (following the paper's remark that the framework extends naturally):
 1. If the constraint conjuncts partition cleanly by function, solve each
    single-function projection with the full cooperative synthesizer and
    reassemble (then verify jointly, defensively).
-2. Otherwise run a *joint* fixed-height CEGIS: every function gets its own
-   symbolic encoder; one SMT query per inductive step covers all unknowns of
-   all functions simultaneously, heights increasing in lockstep.
+2. Otherwise run the fixed-height search (Algorithm 2) on the whole problem
+   for h = 1, 2, ...: its session gives every function its own symbolic
+   encoder, so one SMT query per inductive step covers all unknowns of all
+   functions, with the single-function search's screen, verify and
+   constant widening.
 """
 
 from __future__ import annotations
@@ -16,22 +18,13 @@ import time
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.lang.ast import Kind, Term
-from repro.lang.builders import and_, bool_const, int_const
-from repro.lang.evaluator import EvaluationError, evaluate
-from repro.lang.traversal import rewrite_bottom_up
-from repro.smt.solver import SmtSolver, SolverBudgetExceeded, Status
+from repro.lang.ast import Term
+from repro.smt.solver import SolverBudgetExceeded
 from repro.sygus.multi import MultiSolution, MultiSygusProblem
-from repro.synth.cegis import MAX_CEGIS_ROUNDS, CegisTimeout
-from repro.synth.examples import ExampleSet
+from repro.synth.cegis import CegisTimeout, Example
 from repro.synth.cooperative import CooperativeSynthesizer
 from repro.synth.encoding import EncodingUnsupported
-from repro.synth.fixed_height import (
-    COEFF_BOUND,
-    CONST_BOUNDS,
-    MAX_HEIGHT,
-    make_encoder,
-)
+from repro.synth.fixed_height import MAX_HEIGHT, fixed_height
 from repro.synth.result import SynthesisOutcome, SynthesisStats
 
 
@@ -99,111 +92,16 @@ class MultiFunctionSynthesizer:
         deadline: Optional[float],
         stats: SynthesisStats,
     ) -> Optional[Dict[str, Term]]:
-        examples = ExampleSet()
+        examples: List[Example] = []
         for height in range(1, MAX_HEIGHT + 1):
             stats.heights_tried += 1
-            bodies = self._joint_fixed_height(
-                problem, height, examples, deadline, stats
-            )
-            if bodies is not None:
-                return bodies
-        return None
-
-    def _joint_fixed_height(
-        self,
-        problem: MultiSygusProblem,
-        height: int,
-        examples: List[Dict],
-        deadline: Optional[float],
-        stats: SynthesisStats,
-    ) -> Optional[Dict[str, Term]]:
-        from repro.sygus.problem import SygusProblem
-
-        encoders = {}
-        for index, fun in enumerate(problem.synth_funs):
-            single = SygusProblem(
-                fun, problem.spec, problem.variables, name=fun.name
-            )
+            stats.max_height_reached = height
             try:
-                encoders[fun.name] = make_encoder(
-                    single, height, f"mf{height}!{index}"
+                bodies = fixed_height(
+                    problem, height, examples, deadline, stats, prefix=f"mf{height}"
                 )
             except EncodingUnsupported:
                 return None
-        from repro.lang.traversal import subexpressions
-
-        largest_const = 1
-        for sub_term in subexpressions(problem.spec):
-            if sub_term.kind is Kind.CONST and isinstance(sub_term.payload, int):
-                largest_const = max(largest_const, abs(sub_term.payload))
-        const_bound = min(
-            (b for b in CONST_BOUNDS if b >= largest_const),
-            default=CONST_BOUNDS[-1],
-        )
-        solver = SmtSolver(deadline=deadline)
-        for fun in problem.synth_funs:
-            solver.add(
-                encoders[fun.name].static_constraints(COEFF_BOUND, const_bound)
-            )
-        for example in examples:
-            solver.add(self._example_query(problem, encoders, example))
-        candidates = {
-            fun.name: encoders[fun.name].initial_candidate()
-            for fun in problem.synth_funs
-        }
-        for _ in range(MAX_CEGIS_ROUNDS):
-            if deadline is not None and time.monotonic() > deadline:
-                raise CegisTimeout("joint CEGIS deadline exceeded")
-            ok, counterexample = problem.verify(candidates, deadline)
-            if ok:
-                return dict(candidates)
-            assert counterexample is not None
-            if examples.add(counterexample):
-                solver.add(
-                    self._example_query(problem, encoders, counterexample)
-                )
-            stats.smt_checks += 1
-            result = solver.solve()
-            if result.status is not Status.SAT:
-                return None
-            assert result.model is not None
-            candidates = {
-                fun.name: encoders[fun.name].decode(result.model, fun.params)
-                for fun in problem.synth_funs
-            }
-            stats.cegis_iterations += 1
+            if bodies is not None:
+                return bodies
         return None
-
-    def _example_query(
-        self,
-        problem: MultiSygusProblem,
-        encoders: Dict[str, object],
-        example: Dict,
-    ) -> Term:
-        """Spec on a concrete example with every app symbolically encoded."""
-        side_constraints: List[Term] = []
-        by_name = {fun.name: fun for fun in problem.synth_funs}
-
-        def rewrite(t: Term) -> Term:
-            if t.kind is Kind.VAR and t.payload in example:
-                value = example[t.payload]
-                if t.sort.name == "Int":
-                    return int_const(int(value))
-                return bool_const(bool(value))
-            if t.kind is Kind.APP and t.payload in by_name:
-                arg_values = []
-                for arg in t.args:
-                    try:
-                        arg_values.append(int(evaluate(arg, {})))
-                    except EvaluationError as exc:
-                        raise EncodingUnsupported(
-                            "nested synthesized calls are unsupported"
-                        ) from exc
-                value, side = encoders[t.payload].app_instance(arg_values)
-                if side.kind is not Kind.CONST or not side.payload:
-                    side_constraints.append(side)
-                return value
-            return t
-
-        instantiated = rewrite_bottom_up(problem.spec, rewrite)
-        return and_(instantiated, *side_constraints)

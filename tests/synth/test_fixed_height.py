@@ -40,12 +40,12 @@ def _max2_problem():
 class TestMakeEncoder:
     def test_clia_grammar_gets_decision_tree(self):
         problem = _max2_problem()
-        assert isinstance(make_encoder(problem, 2), CliaTreeEncoder)
+        assert isinstance(make_encoder(problem.synth_fun, 2), CliaTreeEncoder)
 
     def test_qm_grammar_gets_affine_encoder(self):
         fun = SynthFun("f", (x, y), INT, qm_grammar((x, y)))
         problem = SygusProblem(fun, eq(fun.apply((x, y)), x), (x, y))
-        assert isinstance(make_encoder(problem, 2), AffineSpineEncoder)
+        assert isinstance(make_encoder(problem.synth_fun, 2), AffineSpineEncoder)
 
     def test_other_grammars_get_general_encoder(self):
         from repro.lang import int_const
@@ -57,7 +57,7 @@ class TestMakeEncoder:
         )
         fun = SynthFun("f", (x,), INT, grammar)
         problem = SygusProblem(fun, eq(fun.apply((x,)), x), (x,))
-        assert isinstance(make_encoder(problem, 2), GeneralGrammarEncoder)
+        assert isinstance(make_encoder(problem.synth_fun, 2), GeneralGrammarEncoder)
 
 
 class TestFixedHeight:

@@ -55,6 +55,24 @@ class TestMultiProblem:
         ok, cex = problem.verify(bad)
         assert not ok and cex is not None
 
+    def test_first_violation_screens_joint_candidates(self):
+        f, g = _funs()
+        fx, gx = f.apply((x, y)), g.apply((x, y))
+        spec = and_(ge(fx, x), ge(fx, y), eq(add(fx, gx), add(x, y)))
+        problem = MultiSygusProblem((f, g), spec, (x, y))
+        from repro.lang import ite
+
+        bad = {"f": x, "g": y}
+        examples = [{"x": 5, "y": 1}, {"x": 1, "y": 5}, {"x": 0, "y": 3}]
+        assert problem.first_violation(bad, examples) == {"x": 1, "y": 5}
+        good = {"f": ite(ge(x, y), x, y), "g": ite(ge(x, y), y, x)}
+        assert problem.first_violation(good, examples) is None
+        # The verifier's counterexample is one the screen also refutes.
+        ok, cex = problem.verify(bad)
+        assert not ok
+        assert problem.first_violation(bad, [examples[0], cex]) == cex
+        assert problem.first_violation(good, [cex]) is None
+
     def test_split_independent_partitions(self):
         f, g = _funs()
         spec = and_(
@@ -101,6 +119,38 @@ class TestMultiSynthesis:
         assert solution is not None
         ok, _ = problem.verify(solution.bodies)
         assert ok
+
+    def test_coupled_functions_need_a_constant_outside_the_spec(self):
+        # f(x) > x + 1 needs a constant of at least 2, wider than the spec's
+        # own constant 1: the joint search must widen its constant bound.
+        from repro.sygus.parser import parse_sygus_text
+
+        problem = parse_sygus_text(
+            """
+            (set-logic LIA)
+            (synth-fun f ((x Int)) Int)
+            (synth-fun g ((x Int)) Int)
+            (declare-var x Int)
+            (constraint (> (f x) (+ x 1)))
+            (constraint (= (+ (f x) (g x)) (+ x x)))
+            (check-synth)
+            """
+        )
+        assert problem.split_independent() is None
+        outcome = MultiFunctionSynthesizer(60).synthesize(problem)
+        assert outcome.solution is not None
+        ok, _ = problem.verify(outcome.solution.bodies)
+        assert ok
+
+    def test_joint_solve_records_its_search(self):
+        f, g = _funs()
+        fx, gx = f.apply((x, y)), g.apply((x, y))
+        spec = and_(eq(fx, x), eq(add(fx, gx), add(x, y)))
+        problem = MultiSygusProblem((f, g), spec, (x, y), name="coupled")
+        outcome = MultiFunctionSynthesizer(90).synthesize(problem)
+        assert outcome.solution is not None
+        assert outcome.stats.max_height_reached >= 1
+        assert outcome.stats.smt_rounds > 0
 
     def test_parser_produces_multi_problem(self):
         from repro.sygus.parser import parse_sygus_text

@@ -112,7 +112,7 @@ class TestHeightBudgetRegression:
             if height == 1:
                 raise SolverBudgetExceeded("exceeded 20000 LIA nodes")
             return fixed_height_module.make_encoder(
-                problem, height
+                problem.synth_fun, height
             ).initial_candidate()
 
         monkeypatch.setattr(fixed_height_module, "fixed_height", fake_fixed_height)
