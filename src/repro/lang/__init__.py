@@ -44,8 +44,6 @@ from repro.lang.traversal import (
     subexpressions,
     substitute,
     substitute_apps,
-    term_height,
-    term_size,
 )
 
 __all__ = [
@@ -90,6 +88,4 @@ __all__ = [
     "subexpressions",
     "substitute",
     "substitute_apps",
-    "term_height",
-    "term_size",
 ]

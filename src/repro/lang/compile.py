@@ -316,11 +316,6 @@ class CompiledTerm:
             return fn(*values)
         return evaluate(self.term, env, self.funcs)
 
-    def eval_batch(self, envs: Sequence[Mapping[str, Value]]) -> List[Value]:
-        """Evaluate against many environments with one compiled artifact."""
-        return [self.eval(env) for env in envs]
-
-
 class CompiledSpec:
     """A spec compiled with the synth-fun left open as a callable slot.
 

@@ -12,7 +12,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     Mapping,
     Optional,
@@ -172,35 +171,3 @@ def substitute_apps(
         return result
 
     return go(term)
-
-
-def rename_apps(term: Term, renaming: Mapping[str, str]) -> Term:
-    """Rename applied function symbols according to ``renaming``."""
-
-    def rw(t: Term) -> Term:
-        if t.kind is Kind.APP and t.payload in renaming:
-            return Term.make(Kind.APP, t.args, renaming[t.payload], t.sort)
-        return t
-
-    return rewrite_bottom_up(term, rw)
-
-
-def term_height(term: Term) -> int:
-    """Height of the syntax tree (a leaf has height 1)."""
-    return term.height
-
-
-def term_size(term: Term) -> int:
-    """Number of nodes in the syntax tree."""
-    return term.size
-
-
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    """A name starting with ``base`` that is not in ``taken``."""
-    taken_set = set(taken)
-    if base not in taken_set:
-        return base
-    index = 1
-    while f"{base}!{index}" in taken_set:
-        index += 1
-    return f"{base}!{index}"

@@ -10,7 +10,7 @@ SAT abstraction sees them as one variable.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.lang.ast import Kind, Term
 
@@ -190,13 +190,3 @@ def canonical_atom(expr: LinExpr) -> Tuple[LinAtom, bool]:
 
 def _floor_div(a: int, b: int) -> int:
     return a // b  # Python's // already floors toward negative infinity.
-
-
-def max_abs_coefficient(exprs: Iterable[LinExpr]) -> int:
-    """Largest absolute coefficient/constant, used for small-model bounds."""
-    biggest = 1
-    for expr in exprs:
-        for _, coeff in expr.coeffs:
-            biggest = max(biggest, abs(coeff))
-        biggest = max(biggest, abs(expr.const))
-    return biggest

@@ -135,18 +135,6 @@ class Grammar:
             self.params,
         )
 
-    def with_extra_production(self, nonterminal_name: str, rhs: Term) -> "Grammar":
-        """A copy of this grammar with one more production."""
-        productions = {n: list(ps) for n, ps in self.productions.items()}
-        productions.setdefault(nonterminal_name, []).append(rhs)
-        return Grammar(
-            dict(self.nonterminals),
-            self.start,
-            productions,
-            dict(self.interpreted),
-            self.params,
-        )
-
     def with_interpreted(self, func: InterpretedFunction) -> "Grammar":
         """A copy of this grammar extended with an interpreted function.
 
@@ -237,14 +225,6 @@ class Grammar:
             return all(matches(a, p) for a, p in zip(t.args, pattern.args))
 
         return derives(expr, root)
-
-    def production_signature(self) -> str:
-        """A short description, used in logs and test assertions."""
-        lines = []
-        for name, rules in self.productions.items():
-            rhs = " | ".join(repr(r) for r in rules)
-            lines.append(f"{name} -> {rhs}")
-        return "\n".join(lines)
 
 
 def minimal_member(grammar: Grammar, from_nonterminal: Optional[str] = None) -> Optional[Term]:

@@ -125,11 +125,6 @@ class TestCompiledTerm:
         assert not compiled.compiled
         assert compiled.eval({"x": 0}) == evaluate(term, {"x": 0})
 
-    def test_eval_batch(self):
-        compiled = compile_term(mul(x, x))
-        envs = [{"x": i} for i in range(6)]
-        assert compiled.eval_batch(envs) == [0, 1, 4, 9, 16, 25]
-
     def test_uncompiled_call_uses_walker(self):
         term = add(x, 1)
         shim = CompiledTerm(term, ("x",), None, {})

@@ -18,12 +18,7 @@ from repro.lang import (
     contains_app,
 )
 from repro.lang.sorts import INT
-from repro.lang.traversal import (
-    app_occurrences,
-    fresh_name,
-    rename_apps,
-    rewrite_bottom_up,
-)
+from repro.lang.traversal import app_occurrences, rewrite_bottom_up
 
 
 class TestFreeVars:
@@ -128,13 +123,6 @@ class TestAppQueries:
         spec = and_(ge(f1, 0), ge(f2, 0), ge(f1, 1))
         assert set(app_occurrences(spec, "f")) == {f1, f2}
 
-    def test_rename_apps(self):
-        x = int_var("x")
-        spec = ge(apply_fn("f", [x], INT), 0)
-        renamed = rename_apps(spec, {"f": "g"})
-        assert contains_app(renamed, "g")
-        assert not contains_app(renamed, "f")
-
 
 class TestRewriteBottomUp:
     def test_children_rewritten_before_parent(self):
@@ -150,12 +138,3 @@ class TestRewriteBottomUp:
     def test_identity_preserves_object(self):
         term = add(int_var("x"), 1)
         assert rewrite_bottom_up(term, lambda t: t) is term
-
-
-class TestFreshName:
-    def test_returns_base_when_free(self):
-        assert fresh_name("aux", {"x", "y"}) == "aux"
-
-    def test_avoids_collisions(self):
-        assert fresh_name("aux", {"aux"}) == "aux!1"
-        assert fresh_name("aux", {"aux", "aux!1"}) == "aux!2"

@@ -9,7 +9,6 @@ from repro.smt.linear import (
     LinExpr,
     LinearityError,
     canonical_atom,
-    max_abs_coefficient,
     term_to_linexpr,
 )
 
@@ -123,8 +122,3 @@ def test_atom_expressions_are_its_conversions(coeffs, const):
     # Built once and kept: later calls return the same objects.
     assert atom.linexpr(True) is atom.linexpr(True)
     assert atom.linexpr(False) is atom.linexpr(False)
-
-
-def test_max_abs_coefficient():
-    exprs = [LinExpr({"x": -7}, 3), LinExpr({"y": 2}, -11)]
-    assert max_abs_coefficient(exprs) == 11

@@ -83,13 +83,6 @@ class TestGrammarExtension:
         # The original grammar is unchanged.
         assert not grammar.generates(apply_fn("aux", (x, y), INT))
 
-    def test_with_extra_production(self):
-        grammar = qm_grammar((x,))
-        extended = grammar.with_extra_production("S", int_const(7))
-        assert extended.generates(int_const(7))
-        assert not grammar.generates(int_const(7))
-
-
 class TestExpandInterpreted:
     def test_nested_expansion(self):
         x1, x2 = int_var("x1"), int_var("x2")
@@ -127,8 +120,3 @@ class TestStructure:
 
         with pytest.raises(ValueError):
             Grammar({"S": INT}, "T", {"S": [x]})
-
-    def test_signature_rendering(self):
-        grammar = qm_grammar((x,))
-        signature = grammar.production_signature()
-        assert "S ->" in signature and "qm" in signature
