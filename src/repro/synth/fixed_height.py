@@ -205,17 +205,11 @@ class FixedHeightSession(CegisLoop):
         guard = self._bound_guards.get(const_bound)
         if guard is None:
             guard = bool_var(f"{self.prefix}!bound{const_bound}")
-            solver.add(
-                implies(
-                    guard,
-                    and_(
-                        *(
-                            e.static_constraints(COEFF_BOUND, const_bound)
-                            for e in self.encoders.values()
-                        )
-                    ),
-                )
-            )
+            static = [
+                e.static_constraints(COEFF_BOUND, const_bound)
+                for e in self.encoders.values()
+            ]
+            solver.add(implies(guard, and_(*static)))
             self._bound_guards[const_bound] = guard
         return guard
 
@@ -248,14 +242,11 @@ class FixedHeightSession(CegisLoop):
                     result = solver.solve(assumptions=[guard])
                 if result.status is Status.SAT:
                     assert result.model is not None
-                    return problem.candidate(
-                        [
-                            self.encoders[fun.name].decode(
-                                result.model, fun.params
-                            )
-                            for fun in problem.synth_funs
-                        ]
-                    )
+                    bodies = [
+                        self.encoders[fun.name].decode(result.model, fun.params)
+                        for fun in problem.synth_funs
+                    ]
+                    return problem.candidate(bodies)
                 if guard not in result.unsat_core:
                     # The examples are inconsistent with the encoding no
                     # matter how wide the constant range: skip the rest of
