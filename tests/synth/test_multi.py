@@ -145,6 +145,25 @@ class TestMultiSynthesis:
         ok, _ = problem.verify(outcome.solution.bodies)
         assert ok
 
+    def test_nested_calls_end_unsolved(self):
+        # The symbolic encoding cannot take f(g(x)): the search reports no
+        # solution instead of raising.
+        from repro.sygus.parser import parse_sygus_text
+
+        problem = parse_sygus_text(
+            """
+            (set-logic LIA)
+            (synth-fun f ((x Int)) Int)
+            (synth-fun g ((x Int)) Int)
+            (declare-var x Int)
+            (constraint (= (f (g x)) (+ x 1)))
+            (check-synth)
+            """
+        )
+        outcome = MultiFunctionSynthesizer(10).synthesize(problem)
+        assert outcome.solution is None
+        assert not outcome.timed_out
+
     def test_parser_produces_multi_problem(self):
         from repro.sygus.parser import parse_sygus_text
 
