@@ -14,8 +14,8 @@ assertion, and the tuple of the call's assumption terms.  Terms are
 interned (:class:`~repro.lang.ast.Term`): two terms are the same object
 exactly when they have the same kind, payload, sort and children, so equal
 keys mean the same conjunction over the same-sorted variables and the
-decision transfers.  Hashing a key hashes each term's precomputed hash, so
-it costs one step per assertion and renders nothing.
+decision transfers.  Terms hash by identity, so hashing a key costs one
+step per assertion and renders nothing.
 
 **Before encoding.**  ``SmtSolver.add`` only simplifies and records a
 formula, and ``SmtSolver.solve`` looks the key up before CNF-encoding
