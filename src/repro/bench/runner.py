@@ -95,14 +95,13 @@ class _DeductionOnlySolver:
         )
 
 
-def _euback_engine(problem, height, examples, deadline, stats, session_store=None):
+def _euback_engine(problem, height, examples, deadline, stats):
     """EUSolver as the enumerative component (the Figure 16 hybrid).
 
     The paper could not bound EUSolver's search per height, so each call
     searches a growing size class instead of an exact height.  Like the
     fixed-height engine it replaces, this runs a full CEGIS loop, so only
-    *verified* candidates are returned.  It keeps no state between calls,
-    so it ignores the node's ``session_store``.
+    *verified* candidates are returned.
     """
     from repro.synth.cegis import cegis
 

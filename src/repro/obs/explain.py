@@ -39,7 +39,6 @@ class NodeReport:
     children: List[str] = field(default_factory=list)
     extra_parents: int = 0  # graph.share count (DAG sharing)
     solved_how: Optional[str] = None  # direct | propagated | None (unsolved)
-    parked: int = 0
     last_height: Optional[int] = None
     self_wall: float = 0.0
     smt_rounds: int = 0
@@ -141,11 +140,6 @@ def build_explain(
             node(node_id).extra_parents += 1
         elif event.name == forensics.GRAPH_SOLVE and isinstance(node_id, str):
             node(node_id).solved_how = str(attrs.get("how", "direct"))
-        elif event.name == forensics.GRAPH_PARK and isinstance(node_id, str):
-            report = node(node_id)
-            report.parked += 1
-            if attrs.get("height") is not None:
-                report.last_height = int(attrs["height"])
 
     # Parent/child links (preserving event order for stable rendering).
     for node_id in order:
@@ -280,8 +274,6 @@ def _node_line(report: NodeReport, total: float) -> str:
         parts.append(f"smt {report.smt_rounds}r/{report.smt_calls}q")
     if report.cegis_iters:
         parts.append(f"cegis {report.cegis_iters}it")
-    if report.parked:
-        parts.append(f"parked x{report.parked}")
     if report.extra_parents:
         parts.append(f"shared +{report.extra_parents}")
     return "  ".join(parts)

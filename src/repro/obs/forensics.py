@@ -24,9 +24,6 @@ Event inventory (all attrs are flat JSON scalars):
 ``graph.solve``
     A node was solved; ``how`` is ``direct`` (own search/deduction) or
     ``propagated`` (combined from children).
-``graph.park`` / ``graph.free``
-    A node's enumeration was preempted (slice expired; ``height`` rides
-    along) / a solved node released its parked solver sessions.
 ``divide.choice``
     Algorithm 1 committed to a division; ``strategy``, ``child``,
     ``created``.
@@ -60,8 +57,6 @@ DOMAIN = "forensics"
 GRAPH_NODE = "graph.node"
 GRAPH_SHARE = "graph.share"
 GRAPH_SOLVE = "graph.solve"
-GRAPH_PARK = "graph.park"
-GRAPH_FREE = "graph.free"
 DIVIDE_CHOICE = "divide.choice"
 DIVIDE_REJECT = "divide.reject"
 DEDUCT_RULE = "deduct.rule"

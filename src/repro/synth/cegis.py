@@ -2,11 +2,11 @@
 
 :class:`CegisLoop` is the repository's one verify → screen →
 add-counterexample → inductive-step loop.  The fixed-height engine
-(Algorithm 2) subclasses it with its symbolic inductive step and resumes it
-after preemption; the baselines run it through :func:`cegis` with a
-*synthesizer callback* that proposes candidates consistent with the
-accumulated counterexamples.  The verifier (condition 2.4, discharged by the
-SMT substrate) either accepts a candidate or produces a new counterexample.
+(Algorithm 2) subclasses it with its symbolic inductive step; the baselines
+run it through :func:`cegis` with a *synthesizer callback* that proposes
+candidates consistent with the accumulated counterexamples.  The verifier
+(condition 2.4, discharged by the SMT substrate) either accepts a candidate
+or produces a new counterexample.
 """
 
 from __future__ import annotations
@@ -37,15 +37,13 @@ class CegisTimeout(Exception):
 
 
 class CegisLoop:
-    """A resumable CEGIS run over one problem.
+    """One CEGIS run over one problem.
 
     The loop's state lives on the object — the current candidate, whether
     it came from the inductive step, the number of started rounds and
-    exhaustion — so a run preempted by its deadline (:class:`CegisTimeout`)
-    continues where it stopped on the next :meth:`run`.  Exhaustion is
-    sticky.  Each started round adds one to ``stats.cegis_iterations``.
-    ``attrs`` (e.g. ``{"height": 2}``) label the loop's spans and forensics
-    events.
+    exhaustion — where :meth:`run` leaves it.  Each started round adds one
+    to ``stats.cegis_iterations``.  ``attrs`` (e.g. ``{"height": 2}``)
+    label the loop's spans and forensics events.
 
     The inductive step is the ``ind_synth`` callback, or an override of
     :meth:`ind_synth` in a subclass.
@@ -80,17 +78,15 @@ class CegisLoop:
     def run(
         self, examples: List[Example], deadline: Optional[float] = None
     ) -> Optional[Term]:
-        """Continue the loop; returns a verified candidate, or None once
-        exhausted.
+        """Run the loop; returns a verified candidate, or None once exhausted.
 
         ``examples`` is mutated in place, so callers can share
         counterexamples across runs.
 
         Raises:
-            CegisTimeout: when the deadline expires mid-loop.
+            CegisTimeout: when the deadline expires mid-loop, or a verify or
+                inductive query overruns its per-query budget.
         """
-        if self.exhausted:
-            return None
         with obs.span(
             "cegis", problem=self.problem.name, **self.attrs
         ) as loop_span:
@@ -116,8 +112,8 @@ class CegisLoop:
                 examples=len(examples),
             )
             # Compiled screening: a candidate refuted by a *known* example
-            # (after preemption, a height bump or a shared example pool)
-            # never needs the SMT validity check — reuse that example.
+            # (after a height bump or from a shared example pool) never
+            # needs the SMT validity check — reuse that example.
             counterexample = _screen(problem, self.candidate, examples)
             if counterexample is None:
                 try:
@@ -126,8 +122,6 @@ class CegisLoop:
                             self.candidate, deadline
                         )
                 except SolverBudgetExceeded as exc:
-                    # The round did not finish: resuming starts it again.
-                    self.rounds -= 1
                     raise CegisTimeout(str(exc)) from exc
                 if ok:
                     return self.candidate

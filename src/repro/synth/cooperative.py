@@ -26,29 +26,17 @@ from repro.synth.deduction import Deducer
 from repro.synth.divide import Split, propose_splits
 from repro.synth.encoding import EncodingUnsupported
 from repro.synth.fixed_height import MAX_HEIGHT, fixed_height
-from repro.synth.graph import (
-    Edge,
-    Node,
-    SubproblemGraph,
-    note_freed,
-    note_parked,
-    note_solved,
-)
+from repro.synth.graph import Edge, Node, SubproblemGraph, note_solved
 from repro.synth.result import SynthesisOutcome, SynthesisStats
 
 #: Signature of a pluggable enumerative engine, called as
-#: ``engine(problem, height, examples, deadline, stats, session_store=...)``
-#: like :func:`~repro.synth.fixed_height.fixed_height`: returns a verified
+#: ``engine(problem, height, examples, deadline, stats)`` like
+#: :func:`~repro.synth.fixed_height.fixed_height`: returns a verified
 #: candidate body of height (or size class) ``height``, or None.
 EnumEngine = Callable[..., Optional[Term]]
 
 #: Maximum divide-and-conquer depth (splits of splits).
 _MAX_SPLIT_DEPTH = 2
-
-#: Per-(node, height) time slice inside the cooperative loop, so a single
-#: expensive fixed-height run cannot starve the other subproblems (the
-#: sequential stand-in for the paper's per-height threads).
-ENUM_SLICE = 30.0
 
 #: SMT-check budget of the final minimisation pass.
 MINIMIZE_BUDGET = 16
@@ -122,22 +110,12 @@ class CooperativeSynthesizer:
                         height=height,
                         node=node.node_id,
                     ) as enum_span:
-                        body, exhausted = self._enum_step(
-                            node, height, stats, deadline
+                        body = self._enum_step(node, height, stats, deadline)
+                        enum_span.set(
+                            outcome="hit" if body is not None else "miss"
                         )
-                        step_outcome = (
-                            "hit" if body is not None else (
-                                "miss" if exhausted else "preempted"
-                            )
-                        )
-                        enum_span.set(outcome=step_outcome)
                     if body is not None:
                         self._mark_solved(node, body, graph, ded_queue, stats, deadline)
-                    elif not exhausted:
-                        # Time slice expired: yield to other subproblems and
-                        # come back to the same height later.
-                        note_parked(node, height)
-                        enqueue_enum(node, height)
                     elif height < MAX_HEIGHT:
                         enqueue_enum(node, height + 1)
                 else:
@@ -207,41 +185,23 @@ class CooperativeSynthesizer:
         height: int,
         stats: SynthesisStats,
         deadline: Optional[float],
-    ):
-        """One fixed-height attempt; returns ``(body, exhausted)``.
+    ) -> Optional[Term]:
+        """One fixed-height attempt: a verified body, or None on a miss.
 
-        ``exhausted`` is True when the height was fully explored (no solution
-        exists there) and False when the per-step time slice preempted the
-        search.
+        A miss is an exhausted height, a grammar the engine cannot encode,
+        or a per-query budget overrun before the run's deadline; only the
+        run's deadline propagates, and ends the run.
         """
-        step_limit = time.monotonic() + ENUM_SLICE * node.slice_factor
-        slice_deadline = (
-            min(deadline, step_limit) if deadline is not None else step_limit
-        )
-        examples_before = len(node.examples)
         try:
-            body = self.enum_engine(
-                node.problem,
-                height,
-                node.examples,
-                slice_deadline,
-                stats,
-                session_store=node.sessions,
+            return self.enum_engine(
+                node.problem, height, node.examples, deadline, stats
             )
-            node.slice_factor = 1.0
-            return body, True
         except EncodingUnsupported:
-            return None, True
+            return None
         except (CegisTimeout, SolverBudgetExceeded):
             if deadline is not None and time.monotonic() > deadline:
                 raise
-            if len(node.examples) == examples_before:
-                # No progress inside the slice: give the retry twice the time
-                # so a single long SMT call can eventually complete.
-                node.slice_factor *= 2.0
-            else:
-                node.slice_factor = 1.0
-            return None, False
+            return None
 
     # -- Solution propagation ---------------------------------------------------------------
 
@@ -270,12 +230,6 @@ class CooperativeSynthesizer:
         node.solution = body
         stats.subproblems_solved += 1
         note_solved(node, how)
-        # A solved node never enumerates again: release its parked
-        # incremental solver sessions (clause DBs, atom tables) right away
-        # instead of holding them until the whole run finishes.
-        if node.sessions:
-            note_freed(node, len(node.sessions))
-        node.sessions.clear()
         self._propagate(node, graph, ded_queue, stats, deadline)
 
     def _propagate(

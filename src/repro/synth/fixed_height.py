@@ -134,7 +134,7 @@ def _seeded_bounds(problem: Problem, schedule) -> tuple:
 
 
 class FixedHeightSession(CegisLoop):
-    """A resumable Algorithm-2 run at one (problem, height).
+    """One Algorithm-2 run at one (problem, height).
 
     The session is the shared :class:`~repro.synth.cegis.CegisLoop` with a
     symbolic inductive step.  It owns one symbolic encoder per synth-fun of
@@ -144,11 +144,9 @@ class FixedHeightSession(CegisLoop):
     literal that activates the current bound's range constraints, so clause
     learning, atom canonicalisation and theory lemmas are shared across
     every bound and every CEGIS iteration.  Each iteration only asserts the
-    newest counterexample, and solver state also persists across *preempted
-    time slices* (the cooperative loop parks a session when its slice
-    expires and resumes it later).  When a query is unsat without the bound
-    guard in the unsat assumption core, no wider bound can help and the
-    widening loop stops early.
+    newest counterexample.  When a query is unsat without the bound guard
+    in the unsat assumption core, no wider bound can help and the widening
+    loop stops early.
     """
 
     def __init__(
@@ -273,33 +271,25 @@ def fixed_height(
     deadline: Optional[float] = None,
     stats: Optional[SynthesisStats] = None,
     prefix: Optional[str] = None,
-    session_store: Optional[Dict[int, FixedHeightSession]] = None,
 ) -> Optional[Term]:
     """Algorithm 2: CEGIS with symbolic fixed-height inductive synthesis.
 
     Returns a candidate body of height <= ``height`` satisfying the spec, or
     None if none exists (within the coefficient and constant bounds); for a
     :class:`~repro.sygus.multi.MultiSygusProblem` the candidate is a dict of
-    bodies by function name.  Pass a ``session_store`` dict to make
-    preempted runs resumable (the cooperative loop does this per subproblem
-    node).
+    bodies by function name.  ``examples`` is extended in place with the
+    run's counterexamples.
 
     Raises:
-        CegisTimeout: when the deadline expires.
+        CegisTimeout: when the deadline expires or a query overruns its
+            per-query budget.
         EncodingUnsupported: when the grammar cannot be encoded.
     """
     if examples is None:
         examples = []
-    session: Optional[FixedHeightSession] = None
-    if session_store is not None:
-        session = session_store.get(height)
-    if session is None:
-        session = FixedHeightSession(problem, height, stats, prefix)
-        if session_store is not None:
-            session_store[height] = session
-    elif stats is not None:
-        session.stats = stats
-    return session.run(examples, deadline)
+    return FixedHeightSession(problem, height, stats, prefix).run(
+        examples, deadline
+    )
 
 
 class HeightEnumerationSynthesizer:

@@ -45,11 +45,6 @@ class Node:
     examples: list = field(default_factory=list)
     expanded: bool = False
     depth: int = 0
-    #: Time-slice multiplier, doubled when a slice expires without progress.
-    slice_factor: float = 1.0
-    #: Resumable fixed-height sessions, keyed by height (solver state
-    #: survives time-slice preemption).
-    sessions: dict = field(default_factory=dict)
     #: Stable structural identity; identical across processes and runs.
     node_id: str = ""
 
@@ -97,8 +92,8 @@ def stable_node_id(problem: SygusProblem) -> str:
 # -- Forensics emission helpers -------------------------------------------------
 #
 # The graph owns node identity, so it also owns the event vocabulary that is
-# keyed by it; the cooperative loop calls these at the matching lifecycle
-# moments instead of formatting events itself.
+# keyed by it; the cooperative loop calls ``note_solved`` instead of
+# formatting the event itself.
 
 
 def note_solved(node: "Node", how: str) -> None:
@@ -108,28 +103,6 @@ def note_solved(node: "Node", how: str) -> None:
         node=node.node_id,
         fun=node.problem.synth_fun.name,
         how=how,
-        depth=node.depth,
-    )
-
-
-def note_parked(node: "Node", height: int) -> None:
-    """Record a slice-expiry preemption: the node re-enters the worklist."""
-    forensics.emit(
-        forensics.GRAPH_PARK,
-        node=node.node_id,
-        fun=node.problem.synth_fun.name,
-        height=height,
-        depth=node.depth,
-    )
-
-
-def note_freed(node: "Node", sessions: int) -> None:
-    """Record that a solved node released its parked solver sessions."""
-    forensics.emit(
-        forensics.GRAPH_FREE,
-        node=node.node_id,
-        fun=node.problem.synth_fun.name,
-        sessions=sessions,
         depth=node.depth,
     )
 

@@ -153,7 +153,7 @@ class TestConfigurationAblations:
 
         calls = []
 
-        def engine(problem, height, examples, deadline, stats, session_store):
+        def engine(problem, height, examples, deadline, stats):
             calls.append(height)
             return None
 
@@ -162,3 +162,33 @@ class TestConfigurationAblations:
         outcome = synthesizer.synthesize(find_benchmark("pbe-max2").problem())
         assert not outcome.solved
         assert calls, "the custom engine must be invoked"
+
+    def test_budget_overrun_is_a_miss_at_that_height(self):
+        import time
+
+        from repro.bench.suite import find_benchmark
+        from repro.smt.solver import SolverBudgetExceeded
+        from repro.synth.fixed_height import fixed_height
+        from repro.synth.graph import stable_node_id
+
+        attempts = []
+
+        def engine(problem, height, examples, deadline, stats, **kwargs):
+            attempts.append((stable_node_id(problem), height))
+            if height == 1:
+                # The same deterministic overrun on every retry, as a
+                # node-budget overrun inside one verify is.
+                raise SolverBudgetExceeded("exceeded 20000 LIA nodes")
+            return fixed_height(
+                problem, height, examples, deadline, stats, **kwargs
+            )
+
+        budget = 10
+        synthesizer = CooperativeSynthesizer(budget, enum_engine=engine)
+        start = time.monotonic()
+        outcome = synthesizer.synthesize(find_benchmark("pbe-max2").problem())
+        elapsed = time.monotonic() - start
+        assert outcome.solved
+        assert not outcome.timed_out
+        assert len(attempts) == len(set(attempts)), attempts
+        assert elapsed < budget / 2
