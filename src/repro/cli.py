@@ -406,8 +406,7 @@ def _batch_main(argv) -> int:
     solved = sum(1 for r in results if r.status == "solved")
     crashed = sum(1 for r in results if r.status == CRASHED)
     cache_note = (
-        f" cache hits={cache.hits} misses={cache.misses} "
-        f"evictions={cache.evictions}"
+        f" cache hits={cache.hits} misses={cache.misses}"
         if cache is not None
         else ""
     )

@@ -42,7 +42,6 @@ METRIC_HELP: Dict[str, str] = {
     "sat.vars": "SAT variable high-water mark",
     "cache.hits": "result-cache hits",
     "cache.misses": "result-cache misses",
-    "cache.evictions": "result-cache evictions",
     "obs.spans_dropped": "telemetry spans/events dropped at the recorder cap",
     "process.peak_rss_bytes": "peak resident set size (getrusage high-water)",
     "process.user_cpu_seconds": "user-mode CPU time accumulated by jobs",

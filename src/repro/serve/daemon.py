@@ -608,7 +608,6 @@ class SynthesisDaemon:
         if cache is not None:
             payload["cache"] = {
                 "hits": cache.hits, "misses": cache.misses,
-                "evictions": cache.evictions,
                 "hit_rate": _rate(cache.hits, cache.misses),
             }
         payload["memory"] = self.memory_stats()

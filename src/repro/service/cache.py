@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro import obs
 from repro.service.jobs import TERMINAL_STATUSES, JobResult
@@ -33,19 +32,18 @@ def default_cache_dir() -> str:
 
 
 class ResultCache:
-    """Fingerprint-keyed job result store with hit/miss/evict accounting.
+    """Fingerprint-keyed job result store with hit/miss accounting.
 
-    The counters live both as plain attributes (``hits``/``misses``/
-    ``evictions``, printed by the ``dryadsynth batch`` summary) and as
-    ``cache.*`` metrics on the ambient :func:`repro.obs.metrics` registry,
-    so fleet-wide dumps show cache effectiveness without extra plumbing.
+    The counters live both as plain attributes (``hits``/``misses``,
+    printed by the ``dryadsynth batch`` summary) and as ``cache.*`` metrics
+    on the ambient :func:`repro.obs.metrics` registry, so fleet-wide dumps
+    show cache effectiveness without extra plumbing.
     """
 
     def __init__(self, root: Optional[str] = None):
         self.root = os.path.abspath(root or default_cache_dir())
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def _path(self, fingerprint: str) -> str:
         return os.path.join(self.root, fingerprint[:2], fingerprint + ".json")
@@ -93,33 +91,3 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def invalidate(self, fingerprint: str) -> bool:
-        """Drop one entry; returns whether it existed."""
-        try:
-            os.unlink(self._path(fingerprint))
-        except OSError:
-            return False
-        self.evictions += 1
-        obs.metrics().counter("cache.evictions").inc()
-        return True
-
-    def clear(self) -> None:
-        shutil.rmtree(self.root, ignore_errors=True)
-
-    def fingerprints(self) -> Iterator[str]:
-        if not os.path.isdir(self.root):
-            return
-        for shard in sorted(os.listdir(self.root)):
-            shard_dir = os.path.join(self.root, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for entry in sorted(os.listdir(shard_dir)):
-                if entry.endswith(".json") and not entry.startswith("."):
-                    yield entry[: -len(".json")]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.fingerprints())
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return os.path.exists(self._path(fingerprint))

@@ -59,15 +59,8 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path / "cache"))
         cache.put(FP, _result(status=CRASHED))
         cache.put(FP2, _result(status=CANCELLED))
-        assert FP not in cache
-        assert FP2 not in cache
-
-    def test_invalidate(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        cache.put(FP, _result())
-        assert cache.invalidate(FP)
         assert cache.get(FP) is None
-        assert not cache.invalidate(FP)
+        assert cache.get(FP2) is None
 
     def test_schema_mismatch_reads_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -86,16 +79,6 @@ class TestResultCache:
         with open(cache._path(FP), "w") as handle:
             handle.write('{"schema": 1, "result": {tru')
         assert cache.get(FP) is None
-
-    def test_len_contains_and_clear(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        cache.put(FP, _result())
-        cache.put(FP2, _result())
-        assert len(cache) == 2
-        assert FP in cache
-        assert sorted(cache.fingerprints()) == sorted([FP, FP2])
-        cache.clear()
-        assert len(cache) == 0
 
     def test_default_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_CACHE", str(tmp_path / "envcache"))
